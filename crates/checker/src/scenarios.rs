@@ -10,6 +10,7 @@
 //! applies to the whole suite.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use onesql_connect::{session, Session, SqlPipeline};
 use onesql_nexmark::queries::{self, FullStackSpec, ScriptConfig};
@@ -50,10 +51,15 @@ impl NexmarkScenario {
             events,
             ..ScriptConfig::default()
         };
+        // One directory per scenario instance, not per process: parallel
+        // tests checking the same query would otherwise delete each
+        // other's sink files and sidecars.
+        static INSTANCE: AtomicU64 = AtomicU64::new(0);
         let root = std::env::temp_dir().join("onesql_checker").join(format!(
-            "{}-{}",
+            "{}-{}-{}",
             spec.name,
-            std::process::id()
+            std::process::id(),
+            INSTANCE.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&root);
         let run_dir = root.join("unstarted");
@@ -156,5 +162,13 @@ impl Scenario for NexmarkScenario {
 
     fn artifacts(&self) -> Vec<PathBuf> {
         vec![self.sink_path()]
+    }
+}
+
+impl Drop for NexmarkScenario {
+    fn drop(&mut self) {
+        // The scratch directory is this instance's alone; every artifact
+        // a check needs was read into its run record already.
+        let _ = std::fs::remove_dir_all(&self.root);
     }
 }

@@ -899,9 +899,9 @@ impl Sink for TxnFileSink {
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
         for sr in rows {
             let line = self.renderer.render(sr)?;
-            let name = self.renderer.name.clone();
-            writeln!(self.active_writer()?, "{line}")
-                .map_err(|e| Error::exec(format!("{name}: write error: {e}")))?;
+            if let Err(e) = writeln!(self.active_writer()?, "{line}") {
+                return Err(self.err(format!("write error: {e}")));
+            }
         }
         Ok(())
     }

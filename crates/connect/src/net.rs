@@ -130,7 +130,7 @@ impl NetAddr {
 
     fn connect(&self) -> std::io::Result<NetConn> {
         match self {
-            NetAddr::Tcp(addr) => TcpStream::connect(addr.as_str()).map(NetConn::Tcp),
+            NetAddr::Tcp(addr) => TcpStream::connect(addr.as_str()).and_then(NetConn::tcp),
             NetAddr::Unix(path) => UnixStream::connect(path).map(NetConn::Unix),
         }
     }
@@ -166,6 +166,15 @@ enum NetConn {
 }
 
 impl NetConn {
+    /// Wrap a TCP stream with Nagle's algorithm off. Frames are written
+    /// whole, so coalescing small writes buys nothing, while holding a
+    /// small frame back until the peer's delayed ACK stalls the pipeline
+    /// by tens of milliseconds.
+    fn tcp(stream: TcpStream) -> std::io::Result<NetConn> {
+        stream.set_nodelay(true)?;
+        Ok(NetConn::Tcp(stream))
+    }
+
     fn try_clone(&self) -> std::io::Result<NetConn> {
         match self {
             NetConn::Tcp(s) => s.try_clone().map(NetConn::Tcp),
@@ -227,7 +236,7 @@ impl NetListener {
 
     fn accept(&self) -> std::io::Result<NetConn> {
         match self {
-            NetListener::Tcp(l) => l.accept().map(|(s, _)| NetConn::Tcp(s)),
+            NetListener::Tcp(l) => l.accept().and_then(|(s, _)| NetConn::tcp(s)),
             NetListener::Unix(l) => l.accept().map(|(s, _)| NetConn::Unix(s)),
         }
     }
@@ -2467,6 +2476,21 @@ mod tests {
             test_config(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn tcp_conns_disable_nagle_on_both_ends() {
+        let addr = NetAddr::tcp("127.0.0.1:0");
+        let listener = addr.bind().unwrap();
+        let bound = listener.local_addr(&addr);
+        let client = bound.connect().unwrap();
+        let server = listener.accept().unwrap();
+        for conn in [&client, &server] {
+            let NetConn::Tcp(stream) = conn else {
+                panic!("a tcp address yields a tcp connection");
+            };
+            assert!(stream.nodelay().unwrap());
+        }
     }
 
     /// Raw client: preamble + HELLO for partition 0, then read HELLO_ACK.

@@ -57,7 +57,7 @@ pub use observe::{
     FlightRecorder, Histogram, MetricKind, MetricRow, MetricsHub, PipelineSnapshot, TraceRecord,
     TraceSpan,
 };
-pub use parallel::{PartitionedQuery, StableHasher};
+pub use parallel::{partition_of, StableHasher};
 pub use query::RunningQuery;
 pub use session::{PipelineInfo, ScriptOutcome, Session, SqlPipeline, StatementResult};
 pub use shard::{PipelineCheckpoint, ShardedConfig, ShardedPipelineDriver};

@@ -468,6 +468,13 @@ impl TraceSpan {
         self
     }
 
+    /// Stamp a sharded worker index onto the record (builder style),
+    /// overriding the thread's [`set_thread_worker`] value.
+    pub fn worker(mut self, worker: i32) -> TraceSpan {
+        self.worker = worker;
+        self
+    }
+
     /// This span's ID if it will be recorded, else 0. Propagate this —
     /// not the raw ID — so unsampled trees don't create orphan children.
     pub fn id(&self) -> u64 {

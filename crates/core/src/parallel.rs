@@ -1,27 +1,17 @@
-//! Partitioned parallel execution.
+//! Stable partition routing.
 //!
 //! The paper's engines scale streaming SQL by hash-partitioning keyed
 //! operators across workers (Appendix B: Flink's "distributed processing
-//! engine", Beam's "massively parallel computation"). This module provides
-//! the single-machine version of that strategy: a query whose result is
-//! partitioned by some input column can run as `n` independent pipelines,
-//! each fed the slice of input that hashes to it, with the output relation
-//! being the disjoint union of the partitions' outputs.
-//!
-//! Soundness requires the *partition-alignment* property: rows that could
-//! ever combine (same group, same join key) must land in the same
-//! partition. The caller names the partitioning column per stream; the
-//! classic use is partitioning by the grouping key of an aggregate, as in
-//! the scaling benchmark.
+//! engine", Beam's "massively parallel computation"). The sharded driver
+//! ([`crate::shard`]) does the same on one machine: every event goes to
+//! the worker [`partition_of`] its partition key names, so rows that could
+//! ever combine (same group, same join key) meet in the same worker — the
+//! *partition-alignment* property. This module is the hash behind that
+//! routing, which checkpoints depend on staying stable.
 
 use std::hash::{Hash, Hasher};
 
-use crossbeam::channel::{bounded, Sender};
-
-use onesql_types::{Error, Result, Row, Ts, Value};
-
-use crate::engine::Engine;
-use crate::query::RunningQuery;
+use onesql_types::Value;
 
 /// A seeded FNV-1a hasher with a **stable** output: the same value hashes
 /// to the same partition in every process, on every run.
@@ -42,7 +32,7 @@ pub struct StableHasher {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// The fixed seed behind [`PartitionedQuery::partition_of`]; folding it
+/// The fixed seed behind [`partition_of`]; folding it
 /// into the initial state keeps routing distinct from other FNV uses.
 const PARTITION_SEED: u64 = 0x0165_667b_19e3_779f;
 
@@ -114,193 +104,23 @@ impl Hasher for StableHasher {
     }
 }
 
-/// Commands sent to partition workers.
-enum Cmd {
-    Insert(String, Ts, Row),
-    Watermark(String, Ts, Ts),
-    Finish(Ts),
-}
-
-/// A query running as `n` hash-partitioned pipelines on worker threads.
-pub struct PartitionedQuery {
-    senders: Vec<Sender<Cmd>>,
-    handles: Vec<std::thread::JoinHandle<Result<RunningQuery>>>,
-    /// Which input column of each stream is the partition key.
-    partition_col: usize,
-}
-
-impl PartitionedQuery {
-    /// Start `partitions` pipelines of `sql` on the given engine,
-    /// partitioning every stream by `partition_col` (an index into the
-    /// stream's schema).
-    pub fn start(
-        engine: &Engine,
-        sql: &str,
-        partitions: usize,
-        partition_col: usize,
-    ) -> Result<PartitionedQuery> {
-        if partitions == 0 {
-            return Err(Error::exec("need at least one partition"));
-        }
-        let mut senders = Vec::with_capacity(partitions);
-        let mut handles = Vec::with_capacity(partitions);
-        for _ in 0..partitions {
-            let mut query = engine.execute(sql)?;
-            let (tx, rx) = bounded::<Cmd>(1024);
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || -> Result<RunningQuery> {
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Cmd::Insert(table, ptime, row) => query.insert(&table, ptime, row)?,
-                        Cmd::Watermark(table, ptime, wm) => query.watermark(&table, ptime, wm)?,
-                        Cmd::Finish(at) => {
-                            query.finish(at)?;
-                            break;
-                        }
-                    }
-                }
-                Ok(query)
-            }));
-        }
-        Ok(PartitionedQuery {
-            senders,
-            handles,
-            partition_col,
-        })
-    }
-
-    fn route(&self, row: &Row) -> Result<usize> {
-        let key = row.value(self.partition_col)?;
-        Ok(PartitionedQuery::partition_of(key, self.senders.len()))
-    }
-
-    /// Insert a row; it is routed to the partition owning its key.
-    pub fn insert(&self, table: &str, ptime: Ts, row: Row) -> Result<()> {
-        let p = self.route(&row)?;
-        self.senders[p]
-            .send(Cmd::Insert(table.to_string(), ptime, row))
-            .map_err(|_| Error::exec("partition worker terminated"))
-    }
-
-    /// Broadcast a watermark to every partition (watermarks are assertions
-    /// about the whole stream, so all partitions must hear them).
-    pub fn watermark(&self, table: &str, ptime: Ts, wm: Ts) -> Result<()> {
-        for tx in &self.senders {
-            tx.send(Cmd::Watermark(table.to_string(), ptime, wm))
-                .map_err(|_| Error::exec("partition worker terminated"))?;
-        }
-        Ok(())
-    }
-
-    /// Finish all partitions and collect the merged final table: the
-    /// disjoint union of the per-partition results, in row order.
-    pub fn finish(self, at: Ts) -> Result<Vec<Row>> {
-        for tx in &self.senders {
-            tx.send(Cmd::Finish(at))
-                .map_err(|_| Error::exec("partition worker terminated"))?;
-        }
-        drop(self.senders);
-        let mut rows = Vec::new();
-        for handle in self.handles {
-            let query = handle
-                .join()
-                .map_err(|_| Error::exec("partition worker panicked"))??;
-            rows.extend(query.table()?);
-        }
-        rows.sort();
-        Ok(rows)
-    }
-
-    /// Number of partitions.
-    pub fn partitions(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Hash a value to a partition index. Stable across processes and
-    /// restarts (see [`StableHasher`]): the routing recorded in a
-    /// checkpoint is the routing a restarted pipeline reproduces.
-    pub fn partition_of(value: &Value, partitions: usize) -> usize {
-        let mut hasher = StableHasher::default();
-        value.hash(&mut hasher);
-        (hasher.finish() as usize) % partitions
-    }
+/// Hash a value to a partition index. Stable across processes and
+/// restarts (see [`StableHasher`]): the routing recorded in a checkpoint
+/// is the routing a restarted pipeline reproduces.
+pub fn partition_of(value: &Value, partitions: usize) -> usize {
+    let mut hasher = StableHasher::default();
+    value.hash(&mut hasher);
+    (hasher.finish() as usize) % partitions
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StreamBuilder;
-    use onesql_types::{row, DataType};
-
-    fn engine() -> Engine {
-        let mut e = Engine::new();
-        e.register_stream(
-            "Bid",
-            StreamBuilder::new()
-                .column("auction", DataType::Int)
-                .column("price", DataType::Int)
-                .event_time_column("ts"),
-        );
-        e
-    }
-
-    const SQL: &str = "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction";
-
-    fn feed_and_finish(pq: PartitionedQuery, n: i64) -> Vec<Row> {
-        for i in 0..n {
-            pq.insert("Bid", Ts(i), row!(i % 7, i, Ts(i))).unwrap();
-        }
-        pq.finish(Ts(n)).unwrap()
-    }
-
-    #[test]
-    fn partitioned_equals_single() {
-        let e = engine();
-        let single = feed_and_finish(PartitionedQuery::start(&e, SQL, 1, 0).unwrap(), 200);
-        for parts in [2, 4] {
-            let multi = feed_and_finish(PartitionedQuery::start(&e, SQL, parts, 0).unwrap(), 200);
-            assert_eq!(single, multi, "{parts} partitions diverged");
-        }
-    }
-
-    #[test]
-    fn watermarks_broadcast_to_all_partitions() {
-        let e = engine();
-        let pq = PartitionedQuery::start(
-            &e,
-            "SELECT wend, COUNT(*) FROM Tumble(data => TABLE(Bid), \
-             timecol => DESCRIPTOR(ts), dur => INTERVAL '1' MINUTE) \
-             GROUP BY wend EMIT AFTER WATERMARK",
-            3,
-            0,
-        )
-        .unwrap();
-        for i in 0..30i64 {
-            pq.insert("Bid", Ts(i), row!(i, i, Ts(i * 1000))).unwrap();
-        }
-        pq.watermark("Bid", Ts(31), Ts::from_minutes(2)).unwrap();
-        let rows = pq.finish(Ts(100)).unwrap();
-        // All 30 events in minute [0,1): counts sum to 30 across partitions.
-        let total: i64 = rows
-            .iter()
-            .map(|r| r.value(1).unwrap().as_int().unwrap())
-            .sum();
-        assert_eq!(total, 30);
-    }
-
-    #[test]
-    fn zero_partitions_rejected() {
-        let e = engine();
-        assert!(PartitionedQuery::start(&e, SQL, 0, 0).is_err());
-    }
 
     #[test]
     fn partition_of_is_stable() {
         let v = Value::Int(42);
-        assert_eq!(
-            PartitionedQuery::partition_of(&v, 4),
-            PartitionedQuery::partition_of(&v, 4)
-        );
+        assert_eq!(partition_of(&v, 4), partition_of(&v, 4));
     }
 
     #[test]
@@ -309,10 +129,10 @@ mod tests {
         // builds would replay into the wrong partitions after an upgrade.
         // Changing the hash is a checkpoint-format break and must be
         // deliberate.
-        assert_eq!(PartitionedQuery::partition_of(&Value::Int(42), 4), 0);
-        assert_eq!(PartitionedQuery::partition_of(&Value::Int(7), 4), 1);
-        assert_eq!(PartitionedQuery::partition_of(&Value::str("teapot"), 4), 2);
-        assert_eq!(PartitionedQuery::partition_of(&Value::Null, 4), 0);
+        assert_eq!(partition_of(&Value::Int(42), 4), 0);
+        assert_eq!(partition_of(&Value::Int(7), 4), 1);
+        assert_eq!(partition_of(&Value::str("teapot"), 4), 2);
+        assert_eq!(partition_of(&Value::Null, 4), 0);
     }
 
     #[test]
@@ -334,7 +154,7 @@ mod tests {
         // reasonable share (FNV-1a mixes small ints adequately).
         let mut counts = [0usize; 8];
         for i in 0..1000i64 {
-            counts[PartitionedQuery::partition_of(&Value::Int(i), 8)] += 1;
+            counts[partition_of(&Value::Int(i), 8)] += 1;
         }
         for (p, &n) in counts.iter().enumerate() {
             assert!(n > 50, "partition {p} starved: {counts:?}");

@@ -302,8 +302,8 @@ impl SqlPipeline {
     /// `at`, in sorted row order. Works mid-run on both drivers (the
     /// sharded one barriers its workers). After a restore the probe only
     /// covers changes since the restore point.
-    pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
-        match &self.driver {
+    pub fn table_at(&mut self, at: Ts) -> Result<Vec<Row>> {
+        match &mut self.driver {
             SqlDriver::Plain(d) => {
                 let mut rows = d.query().table_at(at)?;
                 rows.sort();

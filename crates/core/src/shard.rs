@@ -10,11 +10,17 @@
 //!   partitions independently and combines their watermarks per stream as
 //!   the min, exactly as [`onesql_time::WatermarkTracker`] combines
 //!   operator ports.
-//! - **Across**: each event routes to one of W worker threads by the
-//!   stable hash of its partition key ([`PartitionedQuery::partition_of`]),
-//!   so rows that can ever combine (same group, same join key) always meet
-//!   in the same worker — the partition-alignment property of
-//!   [`crate::parallel`], now fed by connectors instead of direct inserts.
+//! - **Across**: each event routes to one of W workers by the stable hash
+//!   of its partition key ([`crate::parallel::partition_of`]), so rows
+//!   that can ever combine (same group, same join key) always meet in the
+//!   same worker — the partition-alignment property. With W > 1 every
+//!   worker is a thread fed through a command channel; with W = 1 the one
+//!   worker runs **inline** on the driver thread, applying each command as
+//!   it is sent, so a single-worker round pays no channel hand-off and no
+//!   cross-thread wakeup. Both kinds speak the same command protocol, so
+//!   merge order, checkpoints and `table_at` probes do not depend on which
+//!   kind runs, and an inline worker's `worker.process` trace spans still
+//!   carry worker `0` under the `driver.round` span that fed them.
 //! - **Out**: worker changelogs merge through a deterministic
 //!   partition-aligned order — `(ptime, worker, per-worker sequence)` —
 //!   with entries at the current clock held back until the clock passes
@@ -100,7 +106,7 @@
 
 use std::collections::VecDeque;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 
 use onesql_exec::{StreamRenderer, StreamRow};
 use onesql_time::Watermark;
@@ -115,13 +121,14 @@ use crate::connect::{
 use crate::engine::Engine;
 use crate::history::{HistoryEvent, HistoryTap};
 use crate::observe::{self, Stopwatch};
-use crate::parallel::PartitionedQuery;
+use crate::parallel::partition_of;
 use crate::query::RunningQuery;
 
 /// Tuning for a sharded pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
-    /// Number of worker threads (= operator state shards).
+    /// Number of workers (= operator state shards). One worker runs
+    /// inline on the driver thread; more run as worker threads.
     pub workers: usize,
     /// Which input column is the partition key, for every stream (the
     /// caller must pick a column consistent with the query's grouping /
@@ -239,119 +246,184 @@ enum Cmd {
     TableAt(Ts, Sender<Result<Vec<Row>>>),
 }
 
-fn worker_loop(
-    worker: usize,
-    mut query: RunningQuery,
-    rx: Receiver<Cmd>,
+/// One query worker: a shard of the operator state plus the cursors of
+/// the command protocol. [`WorkerState::apply`] is the whole worker: a
+/// worker thread calls it for every command off its channel, and the
+/// inline worker of a one-worker pipeline calls it as each command is
+/// sent, on the driver thread.
+struct WorkerState {
+    /// Worker index, stamped onto `worker.process` spans.
+    worker: i32,
+    query: RunningQuery,
+    /// Stream table, in declaration order (commands reference indices).
+    streams: Vec<String>,
+    /// Changelog entries already reported by a drain.
+    drained: usize,
+    /// The first failure wins; later data commands are skipped and every
+    /// subsequent barrier reports it, so the control thread hears about
+    /// it at the next drain instead of deadlocking or panicking.
+    failure: Option<Error>,
     vectorize: bool,
-) -> RunningQuery {
-    observe::set_thread_worker(worker.min(i32::MAX as usize) as i32);
-    let mut streams: Vec<String> = Vec::new();
-    let mut drained = 0usize;
-    // The first failure wins; later data commands are skipped and every
-    // subsequent barrier reports it, so the control thread hears about it
-    // at the next drain instead of deadlocking or panicking.
-    let mut failure: Option<Error> = None;
-    while let Ok(cmd) = rx.recv() {
+}
+
+impl WorkerState {
+    fn new(worker: usize, query: RunningQuery, vectorize: bool) -> WorkerState {
+        WorkerState {
+            worker: worker.min(i32::MAX as usize) as i32,
+            query,
+            streams: Vec::new(),
+            drained: 0,
+            failure: None,
+            vectorize,
+        }
+    }
+
+    fn apply(&mut self, cmd: Cmd) {
         match cmd {
-            Cmd::Declare(name) => streams.push(name),
+            Cmd::Declare(name) => self.streams.push(name),
             Cmd::Batch(events, trace_parent) => {
-                if failure.is_some() {
-                    continue;
-                }
-                // Span only when the driver round is being recorded, so
-                // an unsampled round doesn't spawn orphan worker trees.
-                let _span = (trace_parent != 0)
-                    .then(|| observe::TraceSpan::with_parent("worker.process", trace_parent));
-                // Group consecutive same-stream events into columnar runs,
-                // mirroring `PipelineDriver::step`. Ptimes within a routed
-                // batch are monotone (the control thread stamps its clamped
-                // clock), so the run satisfies `ChangeBatch`'s ordering.
-                let mut events = events.into_iter().peekable();
-                while let Some((stream, ptime, change)) = events.next() {
-                    let mut run = vec![(ptime, change)];
-                    if vectorize && query.vectorizes(&streams[stream]) {
-                        while let Some((_, p, c)) = events.next_if(|(next, ..)| *next == stream) {
-                            run.push((p, c));
-                        }
-                    }
-                    let res = if run.len() > 1 {
-                        match ChangeBatch::from_changes(&run) {
-                            Some(batch) => query.change_batch(&streams[stream], &batch),
-                            // Mixed arity (invalid rows): keep per-row order.
-                            None => run
-                                .into_iter()
-                                .try_for_each(|(p, c)| query.change(&streams[stream], p, c)),
-                        }
-                    } else {
-                        match run.pop() {
-                            Some((p, c)) => query.change(&streams[stream], p, c),
-                            None => Ok(()),
-                        }
-                    };
-                    if let Err(e) = res {
-                        failure = Some(e);
-                        break;
+                if self.failure.is_none() {
+                    if let Err(e) = self.process(events, trace_parent) {
+                        self.failure = Some(e);
                     }
                 }
             }
             Cmd::Watermark(stream, ptime, wm) => {
-                if failure.is_some() {
-                    continue;
-                }
-                if let Err(e) = query.watermark(&streams[stream], ptime, wm) {
-                    failure = Some(e);
+                if self.failure.is_none() {
+                    if let Err(e) = self.query.watermark(&self.streams[stream], ptime, wm) {
+                        self.failure = Some(e);
+                    }
                 }
             }
             Cmd::Finish(at) => {
-                if failure.is_some() {
-                    continue;
-                }
-                if let Err(e) = query.finish(at) {
-                    failure = Some(e);
+                if self.failure.is_none() {
+                    if let Err(e) = self.query.finish(at) {
+                        self.failure = Some(e);
+                    }
                 }
             }
             Cmd::Drain(reply) => {
-                let result = match &failure {
-                    Some(e) => Err(e.clone()),
-                    None => {
-                        let entries = query.changelog_since(drained).to_vec();
-                        drained = query.changelog().len();
-                        Ok(DrainReply {
-                            entries,
-                            watermark: query.output_watermark(),
-                        })
-                    }
-                };
+                let result = self.barrier(|state| {
+                    let entries = state.query.changelog_since(state.drained).to_vec();
+                    state.drained = state.query.changelog().len();
+                    Ok(DrainReply {
+                        entries,
+                        watermark: state.query.output_watermark(),
+                    })
+                });
                 let _ = reply.send(result);
             }
             Cmd::Checkpoint(reply) => {
-                let result = match &failure {
-                    Some(e) => Err(e.clone()),
-                    None => query.checkpoint(),
-                };
-                let _ = reply.send(result);
+                let _ = reply.send(self.barrier(|state| state.query.checkpoint()));
             }
             Cmd::Restore(checkpoint, reply) => {
-                let result = query.restore(&checkpoint);
-                drained = 0;
+                let result = self.query.restore(&checkpoint);
+                self.drained = 0;
                 let _ = reply.send(result);
             }
             Cmd::TableAt(at, reply) => {
-                let result = match &failure {
-                    Some(e) => Err(e.clone()),
-                    None => query.table_at(at),
-                };
-                let _ = reply.send(result);
+                let _ = reply.send(self.barrier(|state| state.query.table_at(at)));
             }
         }
     }
-    query
+
+    /// Answer a barrier: the first failure if there was one, else `f`.
+    fn barrier<T>(&mut self, f: impl FnOnce(&mut WorkerState) -> Result<T>) -> Result<T> {
+        match &self.failure {
+            Some(e) => Err(e.clone()),
+            None => f(self),
+        }
+    }
+
+    /// Feed one routed batch into the query.
+    fn process(&mut self, events: Vec<(usize, Ts, Change)>, trace_parent: u64) -> Result<()> {
+        // Span only when the driver round is being recorded, so an
+        // unsampled round doesn't spawn orphan worker trees.
+        let _span = (trace_parent != 0).then(|| {
+            observe::TraceSpan::with_parent("worker.process", trace_parent).worker(self.worker)
+        });
+        // Group consecutive same-stream events into columnar runs,
+        // mirroring `PipelineDriver::step`. Ptimes within a routed batch
+        // are monotone (the control thread stamps its clamped clock), so
+        // the run satisfies `ChangeBatch`'s ordering.
+        let query = &mut self.query;
+        let streams = &self.streams;
+        let mut events = events.into_iter().peekable();
+        while let Some((stream, ptime, change)) = events.next() {
+            let mut run = vec![(ptime, change)];
+            if self.vectorize && query.vectorizes(&streams[stream]) {
+                while let Some((_, p, c)) = events.next_if(|(next, ..)| *next == stream) {
+                    run.push((p, c));
+                }
+            }
+            if run.len() > 1 {
+                match ChangeBatch::from_changes(&run) {
+                    Some(batch) => query.change_batch(&streams[stream], &batch)?,
+                    // Mixed arity (invalid rows): keep per-row order.
+                    None => run
+                        .into_iter()
+                        .try_for_each(|(p, c)| query.change(&streams[stream], p, c))?,
+                }
+            } else if let Some((p, c)) = run.pop() {
+                query.change(&streams[stream], p, c)?;
+            }
+        }
+        Ok(())
+    }
 }
 
-struct Worker {
-    tx: Sender<Cmd>,
-    handle: std::thread::JoinHandle<RunningQuery>,
+/// A query worker as the driver addresses it. Both kinds speak the same
+/// [`Cmd`] protocol, so everything above this type is oblivious to where
+/// the worker runs.
+enum Worker {
+    /// `workers = 1`: the worker runs on the driver thread and each
+    /// command is applied as it is sent. No thread, no command channel,
+    /// and barrier replies are ready the moment they are requested.
+    Inline(Box<WorkerState>),
+    /// A worker thread fed through a bounded command channel.
+    Thread {
+        tx: Sender<Cmd>,
+        handle: std::thread::JoinHandle<RunningQuery>,
+    },
+}
+
+impl Worker {
+    fn thread(mut state: WorkerState) -> Worker {
+        let (tx, rx) = bounded::<Cmd>(64);
+        let handle = std::thread::spawn(move || {
+            while let Ok(cmd) = rx.recv() {
+                state.apply(cmd);
+            }
+            state.query
+        });
+        Worker::Thread { tx, handle }
+    }
+
+    fn send(&mut self, cmd: Cmd) -> Result<()> {
+        match self {
+            Worker::Inline(state) => {
+                state.apply(cmd);
+                Ok(())
+            }
+            Worker::Thread { tx, .. } => tx
+                .send(cmd)
+                .map_err(|_| Error::exec("pipeline worker terminated")),
+        }
+    }
+
+    /// Stop the worker and hand back its query. A worker thread exits its
+    /// receive loop once the command channel disconnects.
+    fn join(self) -> Result<RunningQuery> {
+        match self {
+            Worker::Inline(state) => Ok(state.query),
+            Worker::Thread { tx, handle } => {
+                drop(tx);
+                handle
+                    .join()
+                    .map_err(|_| Error::exec("pipeline worker panicked"))
+            }
+        }
+    }
 }
 
 /// One partition's driver-side state.
@@ -421,9 +493,11 @@ pub struct ShardedPipelineDriver {
 }
 
 impl ShardedPipelineDriver {
-    /// Plan `sql` on `engine` and spawn `config.workers` query workers.
-    /// Attach sources and sinks, then [`ShardedPipelineDriver::run`] (or
-    /// [`ShardedPipelineDriver::restore`] a checkpoint first).
+    /// Plan `sql` on `engine` and start `config.workers` query workers:
+    /// worker threads, or — at one worker — an inline worker on the
+    /// calling thread. Attach sources and sinks, then
+    /// [`ShardedPipelineDriver::run`] (or [`ShardedPipelineDriver::restore`]
+    /// a checkpoint first).
     pub fn new(engine: &Engine, sql: &str, config: ShardedConfig) -> Result<ShardedPipelineDriver> {
         if config.workers == 0 {
             return Err(Error::exec("need at least one worker"));
@@ -439,10 +513,12 @@ impl ShardedPipelineDriver {
                 ver_cols = onesql_exec::compile::version_columns(query.bound());
                 clock = query.now();
             }
-            let (tx, rx) = bounded::<Cmd>(64);
-            let vectorize = config.driver.vectorize;
-            let handle = std::thread::spawn(move || worker_loop(w, query, rx, vectorize));
-            workers.push(Worker { tx, handle });
+            let state = WorkerState::new(w, query, config.driver.vectorize);
+            workers.push(if config.workers == 1 {
+                Worker::Inline(Box::new(state))
+            } else {
+                Worker::thread(state)
+            });
         }
         let worker_count = workers.len();
         let Some(schema) = schema else {
@@ -645,14 +721,10 @@ impl ShardedPipelineDriver {
         self.ledger.provenance()
     }
 
-    fn broadcast(&self, mut cmd: impl FnMut() -> Cmd) -> Result<()> {
-        for worker in &self.workers {
-            worker
-                .tx
-                .send(cmd())
-                .map_err(|_| Error::exec("pipeline worker terminated"))?;
-        }
-        Ok(())
+    fn broadcast(&mut self, cmd: impl Fn() -> Cmd) -> Result<()> {
+        self.workers
+            .iter_mut()
+            .try_for_each(|worker| worker.send(cmd()))
     }
 
     /// One scheduling round: poll every unfinished partition once, route
@@ -747,7 +819,7 @@ impl ShardedPipelineDriver {
                                 self.streams[stream_id], self.config.partition_col
                             ))
                         })?;
-                    let worker = PartitionedQuery::partition_of(key, self.workers.len());
+                    let worker = partition_of(key, self.workers.len());
                     let bytes = change_bytes(&event.change);
                     routed[worker].push((stream_id, self.clock, event.change));
                     self.sources[slot].parts[part].events += 1;
@@ -784,10 +856,7 @@ impl ShardedPipelineDriver {
             // columnar runs themselves (and fall back per-row when the plan
             // requires it), so the control thread samples the routed size.
             self.metrics.batch_rows.record(batch.len() as u64);
-            self.workers[worker]
-                .tx
-                .send(Cmd::Batch(batch, observe::current_span()))
-                .map_err(|_| Error::exec("pipeline worker terminated"))?;
+            self.workers[worker].send(Cmd::Batch(batch, observe::current_span()))?;
         }
         if ingested > 0 {
             if self.config.driver.vectorize {
@@ -796,6 +865,7 @@ impl ShardedPipelineDriver {
                 self.metrics.fallback_rounds += 1;
             }
         }
+        let clock = self.clock;
         let mut advances = std::mem::take(&mut self.advances);
         for (stream, combined) in advances.drain(..) {
             let stream_id = self
@@ -805,7 +875,7 @@ impl ShardedPipelineDriver {
                 .ok_or_else(|| {
                     Error::exec(format!("watermark for unregistered stream '{stream}'"))
                 })?;
-            self.broadcast(|| Cmd::Watermark(stream_id, self.clock, combined.ts()))?;
+            self.broadcast(|| Cmd::Watermark(stream_id, clock, combined.ts()))?;
             self.metrics.watermarks_in += 1;
         }
         self.advances = advances;
@@ -868,14 +938,11 @@ impl ShardedPipelineDriver {
     /// Scatter a barrier command to every worker, then gather the replies
     /// in worker order. Sending to all before receiving from any is what
     /// makes the barrier run in parallel across workers.
-    fn gather<T>(&self, make: impl Fn(usize, Sender<Result<T>>) -> Cmd) -> Result<Vec<T>> {
+    fn gather<T>(&mut self, make: impl Fn(usize, Sender<Result<T>>) -> Cmd) -> Result<Vec<T>> {
         let mut replies = Vec::with_capacity(self.workers.len());
-        for (w, worker) in self.workers.iter().enumerate() {
+        for (w, worker) in self.workers.iter_mut().enumerate() {
             let (tx, rx) = bounded(1);
-            worker
-                .tx
-                .send(make(w, tx))
-                .map_err(|_| Error::exec("pipeline worker terminated"))?;
+            worker.send(make(w, tx))?;
             replies.push(rx);
         }
         replies
@@ -964,7 +1031,7 @@ impl ShardedPipelineDriver {
 
     /// Declare the pipeline complete: workers flush all gated
     /// materialization, the merge drains entirely, sinks flush, and the
-    /// worker threads join. Idempotent on success; a failed finish
+    /// workers stop. Idempotent on success; a failed finish
     /// poisons the driver (it does NOT report finished), so callers can't
     /// mistake a half-flushed pipeline for a completed one.
     pub fn finish(&mut self) -> Result<()> {
@@ -999,7 +1066,8 @@ impl ShardedPipelineDriver {
             observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
         }
         let _finish_span = observe::TraceSpan::root("driver.finish");
-        self.broadcast(|| Cmd::Finish(self.clock))?;
+        let clock = self.clock;
+        self.broadcast(|| Cmd::Finish(clock))?;
         self.drain_workers()?;
         self.flush(true)?;
         for sink in &mut self.sinks {
@@ -1015,12 +1083,7 @@ impl ShardedPipelineDriver {
             }
         }
         for worker in std::mem::take(&mut self.workers) {
-            drop(worker.tx);
-            let query = worker
-                .handle
-                .join()
-                .map_err(|_| Error::exec("pipeline worker panicked"))?;
-            self.final_queries.push(query);
+            self.final_queries.push(worker.join()?);
         }
         self.refresh_metrics();
         Ok(())
@@ -1060,7 +1123,7 @@ impl ShardedPipelineDriver {
 
     /// The merged final table: the disjoint union of the workers' result
     /// partitions, in row order. Only available after the pipeline
-    /// finished (before that the rows live in the worker threads).
+    /// finished (before that the rows live in the workers).
     pub fn table(&self) -> Result<Vec<Row>> {
         if !self.finished {
             return Err(Error::exec("table() requires a finished pipeline"));
@@ -1085,7 +1148,7 @@ impl ShardedPipelineDriver {
     /// After a restore the workers' changelogs restart, so the probe only
     /// covers changes since the restore point — probes are meaningful
     /// within one incarnation.
-    pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
+    pub fn table_at(&mut self, at: Ts) -> Result<Vec<Row>> {
         if self.finished {
             let mut rows = Vec::new();
             for query in &self.final_queries {
@@ -1384,12 +1447,10 @@ impl ShardedPipelineDriver {
 
 impl Drop for ShardedPipelineDriver {
     fn drop(&mut self) {
-        // Disconnect the command channels so worker threads exit their
-        // recv loops, then reap them; leaking threads from an abandoned
+        // Reap the worker threads; leaking threads from an abandoned
         // (e.g. crashed-and-dropped) pipeline would accumulate in tests.
         for worker in std::mem::take(&mut self.workers) {
-            drop(worker.tx);
-            let _ = worker.handle.join();
+            let _ = worker.join();
         }
     }
 }
@@ -1526,79 +1587,136 @@ mod tests {
 
     #[test]
     fn restore_validates_shapes() {
-        let e = engine();
-        // Small fixed batches so one step leaves the source mid-stream.
-        let config = ShardedConfig::new(2).with_driver(DriverConfig {
-            batch_size: 4,
-            adaptive: None,
-            ..DriverConfig::default()
-        });
-        let mut driver = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
-        driver
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
-            .unwrap();
-        driver.step().unwrap();
-        let cp = driver.checkpoint().unwrap();
+        // One worker runs inline, two run as threads: both must validate.
+        for workers in [1usize, 2] {
+            let e = engine();
+            // Small fixed batches so one step leaves the source mid-stream.
+            let config = ShardedConfig::new(workers).with_driver(DriverConfig {
+                batch_size: 4,
+                adaptive: None,
+                ..DriverConfig::default()
+            });
+            let mut driver = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+            driver
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+                .unwrap();
+            driver.step().unwrap();
+            let cp = driver.checkpoint().unwrap();
 
-        // Wrong worker count.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(3)).unwrap();
-        other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
-            .unwrap();
-        assert!(other.restore(&cp).is_err());
+            // Wrong worker count.
+            let mut other = ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(3)).unwrap();
+            other
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+                .unwrap();
+            assert!(other.restore(&cp).is_err(), "workers = {workers}");
 
-        // Wrong partition count.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(2)).unwrap();
-        other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![
-                bids(10, 0),
-                bids(10, 1),
-            ])))
-            .unwrap();
-        assert!(other.restore(&cp).is_err());
+            // Wrong partition count.
+            let mut other =
+                ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(workers)).unwrap();
+            other
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![
+                    bids(10, 0),
+                    bids(10, 1),
+                ])))
+                .unwrap();
+            assert!(other.restore(&cp).is_err(), "workers = {workers}");
 
-        // A driver that already ran refuses restore.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
-        other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
-            .unwrap();
-        other.step().unwrap();
-        assert!(other.restore(&cp).is_err());
+            // A driver that already ran refuses restore.
+            let mut other = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+            other
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+                .unwrap();
+            other.step().unwrap();
+            assert!(other.restore(&cp).is_err(), "workers = {workers}");
 
-        // A restored driver seals its source set and refuses a second
-        // restore: attaching would rebuild the watermark trackers and wipe
-        // the state the restore just loaded.
-        let mut other = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
-        other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
-            .unwrap();
-        other.restore(&cp).unwrap();
-        assert!(other
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
-            .is_err());
-        assert!(other.restore(&cp).is_err());
-        // But it still runs to completion normally.
-        other.run().unwrap();
-        assert!(other.is_finished());
+            // A restored driver seals its source set and refuses a second
+            // restore: attaching would rebuild the watermark trackers and
+            // wipe the state the restore just loaded.
+            let mut other = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+            other
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+                .unwrap();
+            other.restore(&cp).unwrap();
+            assert!(other
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(20, 0)])))
+                .is_err());
+            assert!(other.restore(&cp).is_err(), "workers = {workers}");
+            // But it still runs to completion normally.
+            other.run().unwrap();
+            assert!(other.is_finished());
+        }
     }
 
     #[test]
     fn failed_step_poisons_the_pipeline() {
-        let e = engine();
-        // Partition column out of range: the first step fails after the
-        // source was polled, so the driver must refuse to continue or
-        // checkpoint (the polled events never reached a worker).
-        let mut driver =
-            ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(2).with_partition_col(9))
+        for workers in [1usize, 2] {
+            let e = engine();
+            // Partition column out of range: the first step fails after
+            // the source was polled, so the driver must refuse to continue
+            // or checkpoint (the polled events never reached a worker).
+            let config = ShardedConfig::new(workers).with_partition_col(9);
+            let mut driver = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+            driver
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
                 .unwrap();
-        driver
-            .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
-            .unwrap();
-        assert!(driver.step().is_err());
-        let err = driver.step().unwrap_err().to_string();
-        assert!(err.contains("poisoned"), "{err}");
-        let err = driver.checkpoint().unwrap_err().to_string();
-        assert!(err.contains("poisoned"), "{err}");
+            assert!(driver.step().is_err(), "workers = {workers}");
+            let err = driver.step().unwrap_err().to_string();
+            assert!(err.contains("poisoned"), "workers = {workers}: {err}");
+            let err = driver.checkpoint().unwrap_err().to_string();
+            assert!(err.contains("poisoned"), "workers = {workers}: {err}");
+        }
+    }
+
+    #[test]
+    fn worker_failure_surfaces_at_the_next_barrier() {
+        // A query error inside the worker (not in routing) is held until
+        // the round's drain barrier reports it, then poisons the driver —
+        // the same whether the worker runs inline or on a thread.
+        for workers in [1usize, 2] {
+            let e = engine();
+            let mut driver =
+                ShardedPipelineDriver::new(&e, AGG, ShardedConfig::new(workers)).unwrap();
+            // Rows with the wrong arity fail inside `RunningQuery::change`.
+            let bad = vec![(Ts(1), row!(1i64)), (Ts(2), row!(2i64))];
+            driver
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bad])))
+                .unwrap();
+            assert!(driver.step().is_err(), "workers = {workers}");
+            let err = driver.table_at(Ts(0)).unwrap_err().to_string();
+            assert!(err.contains("poisoned"), "workers = {workers}: {err}");
+        }
+    }
+
+    #[test]
+    fn mid_run_table_at_is_stable_inline() {
+        // `table_at` barriers the inline worker exactly as it barriers
+        // threads: a probe below the clock answers the same mid-run, after
+        // more input, after finish, and at any worker count.
+        let probe = |workers: usize| {
+            let e = engine();
+            let config = ShardedConfig::new(workers).with_driver(DriverConfig {
+                batch_size: 4,
+                adaptive: None,
+                ..DriverConfig::default()
+            });
+            let mut driver = ShardedPipelineDriver::new(&e, AGG, config).unwrap();
+            driver
+                .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(40, 0)])))
+                .unwrap();
+            for _ in 0..3 {
+                driver.step().unwrap();
+            }
+            let at = Ts(driver.clock().0 - 1);
+            let mid = driver.table_at(at).unwrap();
+            driver.step().unwrap();
+            assert_eq!(driver.table_at(at).unwrap(), mid, "re-read after a step");
+            driver.run().unwrap();
+            assert_eq!(driver.table_at(at).unwrap(), mid, "re-read after finish");
+            (at, mid)
+        };
+        let (at, inline) = probe(1);
+        assert!(!inline.is_empty(), "the probe saw the first rounds' rows");
+        assert_eq!(probe(2), (at, inline), "threaded workers agree");
     }
 
     #[test]

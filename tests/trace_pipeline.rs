@@ -254,6 +254,11 @@ fn nexmark_q7_over_the_wire_stitches_into_one_trace() {
 
 #[test]
 fn watermark_provenance_names_the_stuck_partition() {
+    // Its driver opens spans; with a recorder test's sink installed they
+    // would land in that test's ring and break its exact counts.
+    let _guard = trace_lock()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let (publishers, source) = sharded_channel("Bid", 2, 64);
     let mut engine = Engine::new();
     engine.register_stream(
@@ -305,6 +310,61 @@ fn watermark_provenance_names_the_stuck_partition() {
     publishers[0].finish().unwrap();
     publishers[1].finish().unwrap();
     driver.run().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// The one-worker sharded pipeline runs its worker inline on the driver
+// thread; its spans must look exactly like a worker thread's.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn inline_worker_spans_carry_worker_zero_under_the_round() {
+    const LABEL: &str = "inline_worker_spans";
+    let _guard = trace_lock()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let ring = Arc::new(FlightRecorder::new(1 << 16));
+    observe::set_sample(1);
+    observe::install(ring.clone() as Arc<dyn TraceSink>);
+
+    let mut engine = Engine::new();
+    register_nexmark_streams(&mut engine);
+    engine
+        .attach_source(Box::new(NexmarkSource::seeded(7, 500)))
+        .unwrap();
+    let mut driver = engine
+        .run_sharded_pipeline("SELECT auction, price FROM Bid", ShardedConfig::new(1))
+        .unwrap();
+    driver.set_label(LABEL);
+    let run = driver.run().map(|_| ());
+    observe::uninstall();
+    run.unwrap();
+
+    let records = ring.records();
+    let rounds: BTreeSet<u64> = records
+        .iter()
+        .filter(|r| r.pipeline == LABEL && r.name == "driver.round")
+        .map(|r| r.span)
+        .collect();
+    let processed: Vec<&TraceRecord> = records
+        .iter()
+        .filter(|r| r.name == "worker.process" && rounds.contains(&r.parent))
+        .collect();
+    assert!(!processed.is_empty(), "the worker recorded its batches");
+    assert!(
+        records
+            .iter()
+            .filter(|r| r.name == "worker.process")
+            .all(|r| rounds.contains(&r.parent)),
+        "every worker span parents under one of this pipeline's rounds"
+    );
+    for r in &processed {
+        assert_eq!(r.worker, 0, "span {:#x}", r.span);
+    }
+    // Driver-side spans stay off the worker lane.
+    for r in records.iter().filter(|r| r.name == "driver.round") {
+        assert_eq!(r.worker, -1, "span {:#x}", r.span);
+    }
 }
 
 // ---------------------------------------------------------------------------
