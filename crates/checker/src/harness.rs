@@ -319,6 +319,8 @@ fn execute_run(
     scenario.begin_run(kind)?;
     let tap = HistoryTap::new();
     let (mut session, mut pipeline) = scenario.build(0)?;
+    // The oracles read the engine's own table as an independent witness.
+    pipeline.retain_table()?;
     pipeline.set_history_tap(tap.clone());
 
     let total = scenario.total_events();
@@ -360,6 +362,7 @@ fn execute_run(
                     scenario.after_kill()?;
                     incarnation += 1;
                     let (s, mut p) = scenario.build(incarnation)?;
+                    p.retain_table()?;
                     p.set_history_tap(tap.clone());
                     p.restore_from(&store)?;
                     session = s;

@@ -22,6 +22,7 @@ fn record(name: &str, gated: bool, events: u64) -> (Vec<HistoryEvent>, Vec<Row>)
     }
     scenario.begin_run(RunKind::Reference).unwrap();
     let (_session, mut pipeline) = scenario.build(0).unwrap();
+    pipeline.retain_table().unwrap();
     let tap = HistoryTap::new();
     pipeline.set_history_tap(tap.clone());
     pipeline.run().unwrap();

@@ -736,6 +736,12 @@ pub struct SourceMetrics {
     pub finished: bool,
 }
 
+/// The error for a `retain_table()` call that comes after the pipeline
+/// already handed output to its sinks.
+pub(crate) fn retain_too_late() -> Error {
+    Error::plan("retain_table() must be called before the pipeline's first step")
+}
+
 /// Estimated payload size of one change, in bytes: 8 per fixed-width value
 /// (int, float, timestamp, interval), 1 per null/bool, string length for
 /// strings. A stable, cheap estimator — not a wire format — so byte
@@ -782,6 +788,10 @@ pub struct PipelineMetrics {
     /// Depth of the sharded driver's deterministic-merge hold-back buffer
     /// (0 for the plain driver, which has no merge buffer).
     pub pending_depth: u64,
+    /// Changelog entries the driver's queries still hold after the
+    /// round's drain: the whole output under `retain_table()`, otherwise
+    /// only what has not reached the sinks yet.
+    pub changelog_retained: u64,
     /// Wall-clock per scheduling round, in microseconds.
     pub round_micros: Histogram,
     /// Wall-clock spent polling sources per round, in microseconds.
@@ -826,6 +836,7 @@ impl Default for PipelineMetrics {
             batch_rows: Histogram::new(),
             batch_size: 0,
             pending_depth: 0,
+            changelog_retained: 0,
             round_micros: Histogram::new(),
             poll_micros: Histogram::new(),
             merge_micros: Histogram::new(),
@@ -907,6 +918,10 @@ impl PipelineMetrics {
             MetricRow::gauge(
                 "pending_depth",
                 self.pending_depth.min(i64::MAX as u64) as i64,
+            ),
+            MetricRow::gauge(
+                "changelog_retained",
+                self.changelog_retained.min(i64::MAX as u64) as i64,
             ),
             MetricRow::gauge("input_watermark_ms", wm_millis(self.input_watermark)),
             MetricRow::gauge("output_watermark_ms", wm_millis(self.output_watermark)),
@@ -1133,8 +1148,6 @@ pub struct PipelineDriver {
     advances: Vec<(String, Watermark)>,
     /// Monotone processing-time clock (the executor may not regress).
     clock: Ts,
-    /// Changelog entries already rendered to sinks.
-    emitted: usize,
     /// Output watermark already reported to sinks.
     sink_watermark: Watermark,
     /// Incremental `EMIT STREAM` rendering (shared with
@@ -1170,7 +1183,6 @@ impl PipelineDriver {
             ledger: WatermarkLedger::new(),
             advances: Vec::new(),
             clock,
-            emitted: 0,
             sink_watermark: Watermark::MIN,
             renderer: onesql_exec::StreamRenderer::new(ver_cols),
             label: None,
@@ -1277,9 +1289,23 @@ impl PipelineDriver {
         Ok(())
     }
 
-    /// The wrapped query (table views, state metrics, …).
+    /// The wrapped query (state metrics, and table views when the
+    /// pipeline retains its table — see [`PipelineDriver::retain_table`]).
     pub fn query(&self) -> &RunningQuery {
         &self.query
+    }
+
+    /// Keep the query's output changelog after handing it to sinks, so
+    /// table views (`query().table()`, `table_at`, `stream_rows`) keep
+    /// answering. Without it, emitted output lives only in the sinks and
+    /// those views fail with [`Error::NotRetained`] after the first
+    /// drain. Must be called before the first step.
+    pub fn retain_table(&mut self) -> Result<()> {
+        if self.metrics.rounds > 0 || self.finished {
+            return Err(retain_too_late());
+        }
+        self.query.retain_table();
+        Ok(())
     }
 
     /// The driver's monotone processing-time clock: the max ptime of any
@@ -1316,6 +1342,7 @@ impl PipelineDriver {
         self.metrics.input_watermark = self.ledger.input_watermark();
         self.metrics.output_watermark = self.query.output_watermark();
         self.metrics.watermark_provenance = self.ledger.provenance();
+        self.metrics.changelog_retained = self.query.changelog().len() as u64;
     }
 
     /// Per-stream watermark provenance: which source holds each stream's
@@ -1429,7 +1456,7 @@ impl PipelineDriver {
                 ingested += run_events as usize;
                 // Bounded in-flight buffering: drain mid-round when the
                 // pending output grows past the configured bound.
-                if self.query.changelog().len() - self.emitted >= self.config.max_inflight {
+                if self.query.unemitted() >= self.config.max_inflight {
                     self.drain_output()?;
                 }
             }
@@ -1517,7 +1544,7 @@ impl PipelineDriver {
             self.metrics.events_in += n as u64;
             self.metrics.bytes_in += bytes;
             self.ledger.note_event(slot, self.clock);
-            if self.query.changelog().len() - self.emitted >= self.config.max_inflight {
+            if self.query.unemitted() >= self.config.max_inflight {
                 self.drain_output()?;
             }
         }
@@ -1555,8 +1582,8 @@ impl PipelineDriver {
     /// Render changelog entries not yet delivered and hand them to every
     /// sink, with `ver` numbering identical to `EMIT STREAM` rendering.
     fn drain_output(&mut self) -> Result<()> {
-        let entries = self.query.changelog().entries();
-        if self.emitted >= entries.len() {
+        let entries = self.query.take_emitted();
+        if entries.is_empty() {
             self.notify_sink_watermark()?;
             return Ok(());
         }
@@ -1565,11 +1592,10 @@ impl PipelineDriver {
         // consumer side's trace parent.
         let _emit_span = observe::TraceSpan::child("driver.emit");
         let emit = Stopwatch::start();
-        let mut rows = Vec::with_capacity(entries.len() - self.emitted);
-        for entry in &entries[self.emitted..] {
-            self.renderer.render_into(entry, &mut rows)?;
+        let mut rows = Vec::with_capacity(entries.len());
+        for entry in entries {
+            self.renderer.render_owned(entry, &mut rows)?;
         }
-        self.emitted = entries.len();
         self.metrics.events_out += rows.len() as u64;
         for sink in &mut self.sinks {
             sink.write(&rows)?;

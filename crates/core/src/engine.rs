@@ -283,6 +283,9 @@ impl Engine {
     /// connector attached since the last call. The driver is returned
     /// ready to [`PipelineDriver::run`]; an end-to-end job is
     /// `attach_source` + `attach_sink` + `run_pipeline(sql)?.run()`.
+    /// Emitted output lives in the sinks: to read the result table back
+    /// through [`PipelineDriver::query`], call
+    /// [`PipelineDriver::retain_table`] before running.
     pub fn run_pipeline(&mut self, sql: &str) -> Result<PipelineDriver> {
         if !self.pending_partitioned.is_empty() {
             return Err(Error::plan(
@@ -310,7 +313,9 @@ impl Engine {
     /// since the last call: partitioned sources directly, plain sources
     /// via the 1-partition adapter. The driver is returned ready to
     /// [`ShardedPipelineDriver::run`], or to
-    /// [`ShardedPipelineDriver::restore`] a checkpoint first.
+    /// [`ShardedPipelineDriver::restore`] a checkpoint first. As with
+    /// [`Engine::run_pipeline`], table views need
+    /// [`ShardedPipelineDriver::retain_table`].
     pub fn run_sharded_pipeline(
         &mut self,
         sql: &str,

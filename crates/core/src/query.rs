@@ -6,7 +6,7 @@ use onesql_exec::{render_stream, Executor, StreamRow, STREAM_META_COLUMNS};
 use onesql_plan::BoundQuery;
 use onesql_state::StateMetrics;
 use onesql_time::{Watermark, WatermarkGenerator};
-use onesql_tvr::{Change, ChangeBatch, Changelog, Element};
+use onesql_tvr::{Change, ChangeBatch, Changelog, Element, TimedChange};
 use onesql_types::{format_table, Error, Result, Row, Schema, SchemaRef, Ts, Value};
 
 use crate::engine::validate_row;
@@ -22,12 +22,25 @@ pub type ValueFormatter<'a> = &'a dyn Fn(usize, &Value) -> String;
 /// processing time — the paper's `8:13 > SELECT ...;` interactions) or as a
 /// **stream** (`EMIT STREAM`'s changelog rendering with `undo`/`ptime`/
 /// `ver` metadata).
+///
+/// A pipeline driver hands the changelog to its sinks through
+/// `take_emitted`, which trims it unless the driver was told to retain
+/// the table. After a trim the table and stream views answer with
+/// [`Error::NotRetained`] instead of a partial result. A query fed
+/// directly through this API is never trimmed.
 pub struct RunningQuery {
     query: BoundQuery,
     executor: Executor,
     input_schemas: BTreeMap<String, SchemaRef>,
     /// Optional per-stream watermark generators driven by inserted events.
     generators: BTreeMap<String, (usize, Box<dyn WatermarkGenerator>)>,
+    /// Changelog entries already handed out by `take_emitted` (always 0
+    /// on a trimming query, whose changelog starts after them).
+    emitted: usize,
+    /// Keep emitted entries so table and stream views stay answerable.
+    retain: bool,
+    /// Set by the first trimming `take_emitted`: views are now refused.
+    trimmed: bool,
 }
 
 impl std::fmt::Debug for RunningQuery {
@@ -52,6 +65,9 @@ impl RunningQuery {
             executor,
             input_schemas,
             generators: BTreeMap::new(),
+            emitted: 0,
+            retain: false,
+            trimmed: false,
         }
     }
 
@@ -201,16 +217,50 @@ impl RunningQuery {
     }
 
     /// The raw output changelog (the stream encoding of the result TVR).
+    /// On a query a pipeline driver trims, it holds only the entries not
+    /// yet handed to sinks.
     pub fn changelog(&self) -> &Changelog {
         self.executor.changelog()
     }
 
-    /// Changelog entries appended since `cursor` (a previous
-    /// `changelog().len()`), for incremental consumers like the sharded
-    /// driver's drain barrier. After [`RunningQuery::restore`] the
-    /// changelog restarts, so cursors must reset to zero.
-    pub fn changelog_since(&self, cursor: usize) -> &[onesql_tvr::TimedChange] {
-        &self.executor.changelog().entries()[cursor.min(self.executor.changelog().len())..]
+    /// Keep the whole changelog as [`RunningQuery::take_emitted`] hands
+    /// entries out, so table and stream views stay answerable.
+    pub(crate) fn retain_table(&mut self) {
+        self.retain = true;
+    }
+
+    /// Changelog entries not yet handed out by
+    /// [`RunningQuery::take_emitted`].
+    pub(crate) fn unemitted(&self) -> usize {
+        self.executor.changelog().len() - self.emitted
+    }
+
+    /// Hand out the changelog entries appended since the previous call.
+    /// Unless the query retains its table, they are also removed (the
+    /// buffer keeps its capacity) and the query is marked trimmed. After
+    /// [`RunningQuery::restore`] the changelog restarts, and so does the
+    /// cursor.
+    pub(crate) fn take_emitted(&mut self) -> Vec<TimedChange> {
+        if self.retain {
+            let fresh = self.executor.changelog().entries()[self.emitted..].to_vec();
+            self.emitted += fresh.len();
+            fresh
+        } else {
+            self.trimmed = true;
+            self.executor.drain_changelog().collect()
+        }
+    }
+
+    /// Refuse a view of a trimmed changelog instead of answering from
+    /// whatever suffix is still buffered.
+    fn check_retained(&self) -> Result<()> {
+        if self.trimmed {
+            return Err(Error::not_retained(
+                "the pipeline handed its output to its sinks and dropped it; \
+                 call retain_table() before the first step to keep table views",
+            ));
+        }
+        Ok(())
     }
 
     /// Take a consistent checkpoint of all operator state (Appendix B.2.1).
@@ -225,12 +275,16 @@ impl RunningQuery {
     /// generators (if any) restart conservatively and catch up from new
     /// events.
     pub fn restore(&mut self, checkpoint: &onesql_state::Checkpoint) -> Result<()> {
-        self.executor.restore(checkpoint)
+        self.executor.restore(checkpoint)?;
+        self.emitted = 0;
+        Ok(())
     }
 
     /// Table view at processing time `at`: the snapshot of the result TVR,
-    /// with the query's `ORDER BY` / `LIMIT` applied.
+    /// with the query's `ORDER BY` / `LIMIT` applied. Fails with
+    /// [`Error::NotRetained`] once a pipeline driver trimmed the changelog.
     pub fn table_at(&self, at: Ts) -> Result<Vec<Row>> {
+        self.check_retained()?;
         let mut rows = self.executor.changelog().snapshot_at(at).to_rows();
         self.apply_presentation(&mut rows)?;
         Ok(rows)
@@ -243,8 +297,10 @@ impl RunningQuery {
 
     /// Stream view (`EMIT STREAM`, Extension 4): the changelog rendered
     /// with `undo` / `ptime` / `ver` metadata columns. Versions count per
-    /// event-time window (the plan's window-identity columns).
+    /// event-time window (the plan's window-identity columns). Fails with
+    /// [`Error::NotRetained`] once a pipeline driver trimmed the changelog.
     pub fn stream_rows(&self) -> Result<Vec<StreamRow>> {
+        self.check_retained()?;
         let ver_cols = onesql_exec::compile::version_columns(&self.query);
         render_stream(self.executor.changelog(), &ver_cols)
     }

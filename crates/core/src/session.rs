@@ -285,8 +285,22 @@ impl SqlPipeline {
         }
     }
 
-    /// The result table, in sorted row order (sharded pipelines require
-    /// [`SqlPipeline::finish`] first; the plain driver answers any time).
+    /// Keep the pipeline's output changelog after handing it to the sink,
+    /// so [`SqlPipeline::table`] and [`SqlPipeline::table_at`] keep
+    /// answering. Without it, emitted output lives only in the sink and
+    /// both views fail with [`Error::NotRetained`] after the first step.
+    /// Must be called before the first step.
+    pub fn retain_table(&mut self) -> Result<()> {
+        match &mut self.driver {
+            SqlDriver::Plain(d) => d.retain_table(),
+            SqlDriver::Sharded(d) => d.retain_table(),
+        }
+    }
+
+    /// The result table, in sorted row order. Requires
+    /// [`SqlPipeline::retain_table`]; sharded pipelines also require
+    /// [`SqlPipeline::finish`] first, while the plain driver answers
+    /// between steps.
     pub fn table(&self) -> Result<Vec<Row>> {
         match &self.driver {
             SqlDriver::Plain(d) => {
@@ -299,9 +313,10 @@ impl SqlPipeline {
     }
 
     /// Temporal `AS OF` probe: the result table as of processing time
-    /// `at`, in sorted row order. Works mid-run on both drivers (the
-    /// sharded one barriers its workers). After a restore the probe only
-    /// covers changes since the restore point.
+    /// `at`, in sorted row order. Requires [`SqlPipeline::retain_table`].
+    /// Works mid-run on both drivers (the sharded one barriers its
+    /// workers). After a restore the probe only covers changes since the
+    /// restore point.
     pub fn table_at(&mut self, at: Ts) -> Result<Vec<Row>> {
         match &mut self.driver {
             SqlDriver::Plain(d) => {

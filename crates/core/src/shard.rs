@@ -46,7 +46,9 @@
 //!
 //! Any plain [`crate::connect::Source`] rides the sharded driver through
 //! the 1-partition adapter; here three bids fan out over two hash-sharded
-//! workers and the merged result table comes back deterministic:
+//! workers and the merged result table comes back deterministic (the
+//! pipeline opts into keeping its output with `retain_table`, since by
+//! default emitted output lives only in the sinks):
 //!
 //! ```
 //! use onesql_core::connect::{Source, SourceBatch, SourceEvent, SourceStatus};
@@ -97,6 +99,7 @@
 //!         ShardedConfig::new(2),
 //!     )
 //!     .unwrap();
+//! driver.retain_table().unwrap();
 //! driver.run().unwrap();
 //! assert_eq!(
 //!     driver.table().unwrap(),
@@ -114,8 +117,8 @@ use onesql_tvr::{Change, ChangeBatch, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
-    change_bytes, BatchController, DriverConfig, PartitionedSource, PipelineMetrics,
-    SinglePartition, Sink, Source, SourceMetrics, SourceStatus, WatermarkLedger,
+    change_bytes, retain_too_late, BatchController, DriverConfig, PartitionedSource,
+    PipelineMetrics, SinglePartition, Sink, Source, SourceMetrics, SourceStatus, WatermarkLedger,
     WatermarkProvenance,
 };
 use crate::engine::Engine;
@@ -217,16 +220,21 @@ pub struct PipelineCheckpoint {
 
 /// What a worker reports at a drain barrier.
 struct DrainReply {
-    /// Changelog entries produced since the previous drain.
+    /// Changelog entries produced since the previous drain, moved out of
+    /// the worker's changelog unless it retains its table.
     entries: Vec<TimedChange>,
     /// The worker's current output watermark.
     watermark: Watermark,
+    /// Changelog entries the worker still holds after this drain.
+    retained: usize,
 }
 
 /// Commands from the driver's control thread to a worker.
 enum Cmd {
     /// Declare a stream name; subsequent commands reference it by index.
     Declare(String),
+    /// Keep the changelog after draining it (sent before any drain).
+    RetainTable,
     /// A routed batch of `(stream index, ptime, change)` events, plus the
     /// control thread's current trace span (0 = tracing off/unsampled) so
     /// worker-side processing spans stitch under the driver round.
@@ -257,8 +265,6 @@ struct WorkerState {
     query: RunningQuery,
     /// Stream table, in declaration order (commands reference indices).
     streams: Vec<String>,
-    /// Changelog entries already reported by a drain.
-    drained: usize,
     /// The first failure wins; later data commands are skipped and every
     /// subsequent barrier reports it, so the control thread hears about
     /// it at the next drain instead of deadlocking or panicking.
@@ -272,7 +278,6 @@ impl WorkerState {
             worker: worker.min(i32::MAX as usize) as i32,
             query,
             streams: Vec::new(),
-            drained: 0,
             failure: None,
             vectorize,
         }
@@ -281,6 +286,7 @@ impl WorkerState {
     fn apply(&mut self, cmd: Cmd) {
         match cmd {
             Cmd::Declare(name) => self.streams.push(name),
+            Cmd::RetainTable => self.query.retain_table(),
             Cmd::Batch(events, trace_parent) => {
                 if self.failure.is_none() {
                     if let Err(e) = self.process(events, trace_parent) {
@@ -304,11 +310,10 @@ impl WorkerState {
             }
             Cmd::Drain(reply) => {
                 let result = self.barrier(|state| {
-                    let entries = state.query.changelog_since(state.drained).to_vec();
-                    state.drained = state.query.changelog().len();
                     Ok(DrainReply {
-                        entries,
+                        entries: state.query.take_emitted(),
                         watermark: state.query.output_watermark(),
+                        retained: state.query.changelog().len(),
                     })
                 });
                 let _ = reply.send(result);
@@ -317,9 +322,7 @@ impl WorkerState {
                 let _ = reply.send(self.barrier(|state| state.query.checkpoint()));
             }
             Cmd::Restore(checkpoint, reply) => {
-                let result = self.query.restore(&checkpoint);
-                self.drained = 0;
-                let _ = reply.send(result);
+                let _ = reply.send(self.query.restore(&checkpoint));
             }
             Cmd::TableAt(at, reply) => {
                 let _ = reply.send(self.barrier(|state| state.query.table_at(at)));
@@ -664,6 +667,19 @@ impl ShardedPipelineDriver {
         Ok(())
     }
 
+    /// Keep every worker's output changelog after it reaches the merge,
+    /// so [`ShardedPipelineDriver::table`] and
+    /// [`ShardedPipelineDriver::table_at`] keep answering. Without it,
+    /// emitted output lives only in the sinks and those views fail with
+    /// [`Error::NotRetained`] after the first drain. Must be called before
+    /// the first step.
+    pub fn retain_table(&mut self) -> Result<()> {
+        if self.metrics.rounds > 0 || self.finished || self.poisoned {
+            return Err(retain_too_late());
+        }
+        self.broadcast(|| Cmd::RetainTable)
+    }
+
     /// Number of worker shards.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -960,14 +976,17 @@ impl ShardedPipelineDriver {
     fn drain_workers(&mut self) -> Result<()> {
         let replies = self.gather(|_, tx| Cmd::Drain(tx))?;
         let mut combined = Watermark::MAX;
+        let mut retained = 0;
         for (w, reply) in replies.into_iter().enumerate() {
             for entry in reply.entries {
                 self.pending[w].push_back((self.next_seq[w], entry));
                 self.next_seq[w] += 1;
             }
             combined = combined.min(reply.watermark);
+            retained += reply.retained;
         }
         self.output_watermark = combined;
+        self.metrics.changelog_retained = retained as u64;
         Ok(())
     }
 
@@ -995,8 +1014,8 @@ impl ShardedPipelineDriver {
             let emit = Stopwatch::start();
             batch.sort_by_key(|&(ptime, worker, seq, _)| (ptime, worker, seq));
             let mut rows: Vec<StreamRow> = Vec::with_capacity(batch.len());
-            for (_, _, _, entry) in &batch {
-                self.renderer.render_into(entry, &mut rows)?;
+            for (_, _, _, entry) in batch {
+                self.renderer.render_owned(entry, &mut rows)?;
             }
             self.metrics.events_out += rows.len() as u64;
             for sink in &mut self.sinks {
@@ -1123,7 +1142,9 @@ impl ShardedPipelineDriver {
 
     /// The merged final table: the disjoint union of the workers' result
     /// partitions, in row order. Only available after the pipeline
-    /// finished (before that the rows live in the workers).
+    /// finished (before that the rows live in the workers), and only with
+    /// [`ShardedPipelineDriver::retain_table`]; otherwise it fails with
+    /// [`Error::NotRetained`].
     pub fn table(&self) -> Result<Vec<Row>> {
         if !self.finished {
             return Err(Error::exec("table() requires a finished pipeline"));
@@ -1138,9 +1159,10 @@ impl ShardedPipelineDriver {
 
     /// The merged table view **as of** processing time `at` (a temporal
     /// `AS OF` probe): the union of the workers' `table_at` snapshots, in
-    /// sorted row order. Unlike [`ShardedPipelineDriver::table`] this
-    /// works mid-run — the probe barriers each worker, so it reflects
-    /// every event routed before the call. A probe at `at` strictly below
+    /// sorted row order. Requires [`ShardedPipelineDriver::retain_table`].
+    /// Unlike [`ShardedPipelineDriver::table`] this works mid-run — the
+    /// probe barriers each worker, so it reflects every event routed
+    /// before the call. A probe at `at` strictly below
     /// the current [`ShardedPipelineDriver::clock`] is *stable*: future
     /// events are stamped at or above the clock, so re-reading the same
     /// `at` later returns identical rows.
@@ -1560,6 +1582,7 @@ mod tests {
             driver
                 .attach_partitioned_source(Box::new(ScriptPartitions::new(parts.clone())))
                 .unwrap();
+            driver.retain_table().unwrap();
             driver.run().unwrap();
             tables.push(driver.table().unwrap());
         }
@@ -1580,6 +1603,7 @@ mod tests {
         driver
             .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(5, 0)])))
             .unwrap();
+        driver.retain_table().unwrap();
         assert!(driver.table().is_err());
         driver.run().unwrap();
         assert!(driver.table().is_ok());
@@ -1703,6 +1727,7 @@ mod tests {
             driver
                 .attach_partitioned_source(Box::new(ScriptPartitions::new(vec![bids(40, 0)])))
                 .unwrap();
+            driver.retain_table().unwrap();
             for _ in 0..3 {
                 driver.step().unwrap();
             }

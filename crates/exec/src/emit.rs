@@ -394,17 +394,35 @@ impl StreamRenderer {
         entry: &onesql_tvr::TimedChange,
         out: &mut Vec<StreamRow>,
     ) -> Result<()> {
+        self.render_owned(entry.clone(), out)
+    }
+
+    /// [`StreamRenderer::render_into`] for an entry the caller hands
+    /// over: its row moves into the last revision instead of being cloned.
+    pub fn render_owned(
+        &mut self,
+        entry: onesql_tvr::TimedChange,
+        out: &mut Vec<StreamRow>,
+    ) -> Result<()> {
         let key = grouping_key(&entry.change.row, &self.grouping_cols)?;
         let counter = self.versions.entry(key).or_insert(0);
-        // A change with |diff| > 1 renders as that many unit revisions.
-        for _ in 0..entry.change.diff.unsigned_abs() {
+        let undo = entry.change.diff < 0;
+        let mut revision = |row| {
             out.push(StreamRow {
-                row: entry.change.row.clone(),
-                undo: entry.change.diff < 0,
+                row,
+                undo,
                 ptime: entry.ptime,
                 ver: *counter,
             });
             *counter += 1;
+        };
+        // A change with |diff| > 1 renders as that many unit revisions.
+        let revisions = entry.change.diff.unsigned_abs();
+        for _ in 1..revisions {
+            revision(entry.change.row.clone());
+        }
+        if revisions > 0 {
+            revision(entry.change.row);
         }
         Ok(())
     }

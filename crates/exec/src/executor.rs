@@ -301,6 +301,11 @@ impl Executor {
         &self.output
     }
 
+    /// Move every changelog entry out, keeping the buffer's capacity.
+    pub fn drain_changelog(&mut self) -> std::vec::Drain<'_, onesql_tvr::TimedChange> {
+        self.output.drain()
+    }
+
     /// Aggregate state footprint across all operators.
     pub fn state_metrics(&self) -> StateMetrics {
         self.root.metrics()

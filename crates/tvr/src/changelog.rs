@@ -65,6 +65,13 @@ impl Changelog {
         &self.entries
     }
 
+    /// Remove every entry, keeping the buffer's capacity for the changes
+    /// that follow (a consumer that moved the entries elsewhere, such as
+    /// a sink, no longer needs them here).
+    pub fn drain(&mut self) -> std::vec::Drain<'_, TimedChange> {
+        self.entries.drain(..)
+    }
+
     /// Number of changes recorded.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -20,6 +20,9 @@ pub enum Error {
     Catalog(String),
     /// Feature recognized but not supported.
     Unsupported(String),
+    /// A table view of a result whose emitted changelog was handed to
+    /// sinks and trimmed (the pipeline did not opt into retaining it).
+    NotRetained(String),
 }
 
 impl Error {
@@ -53,6 +56,11 @@ impl Error {
         Error::Unsupported(msg.into())
     }
 
+    /// Build a "result table not retained" error.
+    pub fn not_retained(msg: impl Into<String>) -> Error {
+        Error::NotRetained(msg.into())
+    }
+
     /// The inner message, without the stage prefix.
     pub fn message(&self) -> &str {
         match self {
@@ -61,7 +69,8 @@ impl Error {
             | Error::Type(m)
             | Error::Execution(m)
             | Error::Catalog(m)
-            | Error::Unsupported(m) => m,
+            | Error::Unsupported(m)
+            | Error::NotRetained(m) => m,
         }
     }
 }
@@ -75,6 +84,7 @@ impl fmt::Display for Error {
             Error::Execution(m) => write!(f, "execution error: {m}"),
             Error::Catalog(m) => write!(f, "catalog error: {m}"),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
+            Error::NotRetained(m) => write!(f, "result table not retained: {m}"),
         }
     }
 }

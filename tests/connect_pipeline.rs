@@ -119,6 +119,7 @@ fn csv_roundtrip_with_watermark_gated_emit() {
     let mut readback = reader
         .run_pipeline("SELECT wend, total FROM Windows")
         .unwrap();
+    readback.retain_table().unwrap();
     readback.run().unwrap();
     assert_eq!(
         readback.query().table().unwrap(),

@@ -438,6 +438,7 @@ fn pipelines_chain_through_net_sink() {
     let mut driver = engine
         .run_pipeline("SELECT auction, COUNT(*), SUM(price) FROM Mid GROUP BY auction")
         .unwrap();
+    driver.retain_table().unwrap();
     driver.run().unwrap();
     upstream.join().unwrap().unwrap();
 

@@ -252,6 +252,7 @@ fn partitioned_files_match_direct_execution() {
     let mut driver = engine
         .run_sharded_pipeline(sql, ShardedConfig::new(3))
         .unwrap();
+    driver.retain_table().unwrap();
     let metrics = driver.run().unwrap();
     assert_eq!(metrics.events_in, all_rows.len() as u64);
     assert!(metrics.input_watermark.is_final());
@@ -532,12 +533,13 @@ fn scripted_driver(
         adaptive: None,
         ..DriverConfig::default()
     });
-    let driver = engine
+    let mut driver = engine
         .run_sharded_pipeline(
             "SELECT auction, COUNT(*), SUM(price) FROM Bid GROUP BY auction",
             config,
         )
         .unwrap();
+    driver.retain_table().unwrap();
     (rows, driver)
 }
 
