@@ -11,8 +11,9 @@
 //! columns plus `undo` / `ptime` / `ver`) or, for final-only streams, as
 //! plain appended records that a source with the same schema reads back.
 
+use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Lines, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use onesql_core::connect::{
@@ -57,7 +58,10 @@ struct TextFileSource {
     name: String,
     streams: Vec<String>,
     schema: SchemaRef,
-    lines: Lines<BufReader<File>>,
+    reader: BufReader<File>,
+    /// The current record, reused across records: one physical line, or
+    /// several joined for a quoted CSV field that embeds newlines.
+    line: String,
     format: LineFormat,
     config: FileSourceConfig,
     /// First event-time column, if the schema has one.
@@ -87,7 +91,8 @@ impl TextFileSource {
             name: format!("file:{}", path.display()),
             streams: vec![stream.into()],
             schema,
-            lines: BufReader::new(file).lines(),
+            reader: BufReader::new(file),
+            line: String::new(),
             format,
             config,
             et_col,
@@ -100,51 +105,72 @@ impl TextFileSource {
         // config struct reused from a CSV source must not eat a record).
         if source.config.has_header && matches!(source.format, LineFormat::Csv) {
             source.line_no += 1;
-            let _ = source.lines.next();
+            let _ = source.reader.read_line(&mut source.line);
         }
         Ok(source)
     }
 
-    fn parse_line(&self, line: &str) -> Result<Row> {
-        match self.format {
-            LineFormat::Csv => text::parse_record(&text::split_csv_line(line), &self.schema),
-            LineFormat::JsonLines => json::json_to_row(line, &self.schema),
-        }
-        .map_err(|e| Error::exec(format!("{}: line {}: {e}", self.name, self.line_no)))
+    /// `e` in the context of the current record's file and line.
+    fn at_line(&self, e: impl std::fmt::Display) -> Error {
+        Error::exec(format!("{}: line {}: {e}", self.name, self.line_no))
     }
 
-    /// Read the next complete record line: skips blanks and joins quoted
-    /// multi-line CSV records. `None` marks end of file (and sets `done`).
-    fn next_record_line(&mut self) -> Result<Option<String>> {
+    fn parse_line(&self) -> Result<Row> {
+        match self.format {
+            LineFormat::Csv => {
+                let record = text::CsvRecord::split(&self.line);
+                let fields: Vec<&str> = record.fields().collect();
+                text::parse_record(&fields, &self.schema)
+            }
+            LineFormat::JsonLines => json::json_to_row(&self.line, &self.schema),
+        }
+        .map_err(|e| self.at_line(e))
+    }
+
+    /// Append the next physical line to `line` without its `\n` / `\r\n`
+    /// terminator (as `BufRead::lines` strips it). False at end of file.
+    fn read_physical_line(&mut self) -> Result<bool> {
+        match self.reader.read_line(&mut self.line) {
+            Ok(0) => Ok(false),
+            Ok(_) => {
+                if self.line.ends_with('\n') {
+                    self.line.pop();
+                    if self.line.ends_with('\r') {
+                        self.line.pop();
+                    }
+                }
+                Ok(true)
+            }
+            Err(e) => Err(Error::exec(format!("{}: read error: {e}", self.name))),
+        }
+    }
+
+    /// Read the next complete record into `line`: skips blanks and joins
+    /// quoted multi-line CSV records. False marks end of file (and sets
+    /// `done`).
+    fn next_record_line(&mut self) -> Result<bool> {
         loop {
-            let Some(line) = self.lines.next() else {
+            self.line.clear();
+            if !self.read_physical_line()? {
                 self.done = true;
-                return Ok(None);
-            };
-            let mut line =
-                line.map_err(|e| Error::exec(format!("{}: read error: {e}", self.name)))?;
+                return Ok(false);
+            }
             self.line_no += 1;
-            if line.trim().is_empty() {
+            if self.line.trim().is_empty() {
                 continue;
             }
             // A quoted CSV field may legally contain newlines; keep
             // consuming physical lines until the quotes balance.
             if matches!(self.format, LineFormat::Csv) {
-                while !text::csv_quotes_balanced(&line) {
-                    let next = self.lines.next().ok_or_else(|| {
-                        Error::exec(format!(
-                            "{}: line {}: unterminated quoted field at end of file",
-                            self.name, self.line_no
-                        ))
-                    })?;
-                    let next =
-                        next.map_err(|e| Error::exec(format!("{}: read error: {e}", self.name)))?;
+                while !text::csv_quotes_balanced(&self.line) {
+                    self.line.push('\n');
+                    if !self.read_physical_line()? {
+                        return Err(self.at_line("unterminated quoted field at end of file"));
+                    }
                     self.line_no += 1;
-                    line.push('\n');
-                    line.push_str(&next);
                 }
             }
-            return Ok(Some(line));
+            return Ok(true);
         }
     }
 
@@ -154,22 +180,17 @@ impl TextFileSource {
         }
         let mut batch = SourceBatch::empty(SourceStatus::Ready);
         while batch.events.len() < max_events {
-            let Some(line) = self.next_record_line()? else {
+            if !self.next_record_line()? {
                 batch.status = SourceStatus::Finished;
                 break;
-            };
-            let row = self.parse_line(&line)?;
+            }
+            let row = self.parse_line()?;
             // Replay semantics: event time doubles as arrival time (the
             // driver keeps the global clock monotone for late rows).
             let ptime = match self.et_col {
                 Some(col) => match row.value(col)? {
                     Value::Ts(t) => *t,
-                    other => {
-                        return Err(Error::exec(format!(
-                            "{}: line {}: event-time column holds {other:?}",
-                            self.name, self.line_no
-                        )))
-                    }
+                    other => return Err(self.at_line(format!("event-time column holds {other:?}"))),
                 },
                 None => {
                     self.seq += 1;
@@ -228,31 +249,17 @@ impl TextFileSource {
         let mut ptimes: Vec<Ts> = Vec::with_capacity(max_events);
         let mut status = SourceStatus::Ready;
         while ptimes.len() < max_events {
-            let Some(line) = self.next_record_line()? else {
+            if !self.next_record_line()? {
                 status = SourceStatus::Finished;
                 break;
-            };
-            let fields = text::split_csv_line(&line);
-            if fields.len() != arity {
-                // parse_record's arity error, with the line context
-                // `parse_line` would attach. The Ok branch cannot fire —
-                // the arity check above guarantees a mismatch — but a
-                // synthesized message beats panicking.
-                let err = match text::parse_record(&fields, &self.schema) {
-                    Err(e) => e,
-                    Ok(_) => Error::exec(format!("expected {arity} fields, got {}", fields.len())),
-                };
-                return Err(Error::exec(format!(
-                    "{}: line {}: {err}",
-                    self.name, self.line_no
-                )));
             }
+            let record = text::CsvRecord::split(&self.line);
+            text::check_arity(record.arity(), &self.schema).map_err(|e| self.at_line(e))?;
             let mut et_ts = None;
-            for (col, (field, b)) in self.schema.fields().iter().zip(&mut builders).enumerate() {
-                let parsed =
-                    text::parse_field_into(&fields[col], field.data_type, b).map_err(|e| {
-                        Error::exec(format!("{}: line {}: {e}", self.name, self.line_no))
-                    })?;
+            let columns = self.schema.fields().iter().zip(&mut builders);
+            for (col, (field_text, (field, b))) in record.fields().zip(columns).enumerate() {
+                let parsed = text::parse_field_into(field_text, field.data_type, b)
+                    .map_err(|e| self.at_line(e))?;
                 if Some(col) == self.et_col {
                     et_ts = parsed;
                 }
@@ -265,14 +272,12 @@ impl TextFileSource {
                         // timestamp; re-parse it once for the exact value
                         // the row path's error would print.
                         let dt = self.schema.fields()[col].data_type;
-                        let held = match text::parse_value(&fields[col], dt) {
+                        let field_text = record.fields().nth(col).unwrap_or_default();
+                        let held = match text::parse_value(field_text, dt) {
                             Ok(other) => format!("{other:?}"),
-                            Err(_) => format!("unparseable '{}'", fields[col]),
+                            Err(_) => format!("unparseable '{field_text}'"),
                         };
-                        return Err(Error::exec(format!(
-                            "{}: line {}: event-time column holds {held}",
-                            self.name, self.line_no
-                        )));
+                        return Err(self.at_line(format!("event-time column holds {held}")));
                     }
                 },
                 None => {
@@ -507,15 +512,23 @@ impl LineRenderer {
     /// with headers enabled only).
     fn bind(&mut self, schema: SchemaRef) -> Result<Option<String>> {
         let header = if self.header && matches!(self.format, LineFormat::Csv) {
-            let mut names: Vec<String> = schema
+            let meta: &[&str] = match self.mode {
+                CsvSinkMode::Changelog => &META_NAMES,
+                CsvSinkMode::Appends => &[],
+            };
+            let mut line = String::new();
+            for (i, name) in schema
                 .names()
                 .into_iter()
-                .map(text::escape_csv_field)
-                .collect();
-            if self.mode == CsvSinkMode::Changelog {
-                names.extend(META_NAMES.iter().map(|n| n.to_string()));
+                .chain(meta.iter().copied())
+                .enumerate()
+            {
+                if i > 0 {
+                    line.push(',');
+                }
+                text::push_csv_field(&mut line, name);
             }
-            Some(names.join(","))
+            Some(line)
         } else {
             None
         };
@@ -538,54 +551,59 @@ impl LineRenderer {
         Ok(header)
     }
 
-    fn render(&self, sr: &StreamRow) -> Result<String> {
-        if self.mode == CsvSinkMode::Appends && sr.undo {
-            return Err(Error::exec(format!(
-                "{}: retraction reached an appends-mode sink; use \
-                 CsvSinkMode::Changelog or a watermark-gated query",
-                self.name
-            )));
+    /// Render `rows` into `out` (cleared first), one line each, stopping
+    /// at the first row that cannot render — a retraction in appends mode;
+    /// the lines rendered before it stay in `out` for the caller to write.
+    fn render(&self, rows: &[StreamRow], out: &mut String) -> Result<()> {
+        out.clear();
+        for sr in rows {
+            if self.mode == CsvSinkMode::Appends && sr.undo {
+                return Err(Error::exec(format!(
+                    "{}: retraction reached an appends-mode sink; use \
+                     CsvSinkMode::Changelog or a watermark-gated query",
+                    self.name
+                )));
+            }
+            match (&self.format, &self.mode) {
+                (LineFormat::Csv, CsvSinkMode::Appends) => text::push_csv_row(out, sr.row.values()),
+                (LineFormat::Csv, CsvSinkMode::Changelog) => {
+                    text::push_csv_row(out, sr.row.values());
+                    if sr.row.arity() > 0 {
+                        out.push(',');
+                    }
+                    // `true`/`false` (not the paper's "undo" rendering,
+                    // which ChangelogSink provides) so the column parses
+                    // back as the Bool the meta schema declares. Formatting
+                    // into a String cannot fail.
+                    let _ = write!(out, "{},{},{}", sr.undo, sr.ptime, sr.ver);
+                }
+                (LineFormat::JsonLines, mode) => {
+                    let schema = self.json_schema.as_ref().ok_or_else(|| {
+                        Error::exec(format!("{}: sink was never bound", self.name))
+                    })?;
+                    let row = if *mode == CsvSinkMode::Changelog {
+                        sr.row.with_appended(&[
+                            Value::Bool(sr.undo),
+                            Value::Ts(sr.ptime),
+                            Value::Int(sr.ver as i64),
+                        ])
+                    } else {
+                        sr.row.clone()
+                    };
+                    out.push_str(&json::row_to_json(&row, schema));
+                }
+            }
+            out.push('\n');
         }
-        Ok(match (&self.format, &self.mode) {
-            (LineFormat::Csv, CsvSinkMode::Appends) => text::row_to_csv(&sr.row),
-            (LineFormat::Csv, CsvSinkMode::Changelog) => {
-                let mut fields: Vec<String> = sr
-                    .row
-                    .values()
-                    .iter()
-                    .map(|v| text::escape_csv_field(&text::format_value(v)))
-                    .collect();
-                // `true`/`false` (not the paper's "undo" rendering, which
-                // ChangelogSink provides) so the column parses back as the
-                // Bool the meta schema declares.
-                fields.push(sr.undo.to_string());
-                fields.push(sr.ptime.to_clock_string());
-                fields.push(sr.ver.to_string());
-                fields.join(",")
-            }
-            (LineFormat::JsonLines, mode) => {
-                let schema = self
-                    .json_schema
-                    .as_ref()
-                    .ok_or_else(|| Error::exec(format!("{}: sink was never bound", self.name)))?;
-                let row = if *mode == CsvSinkMode::Changelog {
-                    sr.row.with_appended(&[
-                        Value::Bool(sr.undo),
-                        Value::Ts(sr.ptime),
-                        Value::Int(sr.ver as i64),
-                    ])
-                } else {
-                    sr.row.clone()
-                };
-                json::row_to_json(&row, schema)
-            }
-        })
+        Ok(())
     }
 }
 
 struct TextFileSink {
     renderer: LineRenderer,
     writer: BufWriter<File>,
+    /// Rendered lines of the batch being written, reused across batches.
+    lines: String,
 }
 
 impl TextFileSink {
@@ -601,6 +619,7 @@ impl TextFileSink {
         Ok(TextFileSink {
             renderer: LineRenderer::new(format!("file:{}", path.display()), mode, format, header),
             writer: BufWriter::new(file),
+            lines: String::new(),
         })
     }
 
@@ -617,12 +636,11 @@ impl TextFileSink {
     }
 
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        for sr in rows {
-            let line = self.renderer.render(sr)?;
-            writeln!(self.writer, "{line}")
-                .map_err(|e| Error::exec(format!("{}: write error: {e}", self.renderer.name)))?;
-        }
-        Ok(())
+        let rendered = self.renderer.render(rows, &mut self.lines);
+        self.writer
+            .write_all(self.lines.as_bytes())
+            .map_err(|e| Error::exec(format!("{}: write error: {e}", self.renderer.name)))?;
+        rendered
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -748,6 +766,8 @@ pub struct TxnFileSink {
     path: std::path::PathBuf,
     sidecar: std::path::PathBuf,
     header: Option<String>,
+    /// Rendered lines of the batch being written, reused across batches.
+    lines: String,
     state: TxnState,
     /// `(epoch, committed byte length)` per staged checkpoint, ascending.
     epochs: Vec<(u64, u64)>,
@@ -789,6 +809,7 @@ impl TxnFileSink {
             path,
             sidecar,
             header: None,
+            lines: String::new(),
             state: TxnState::Pending,
             epochs: Vec::new(),
             committed: 0,
@@ -897,13 +918,16 @@ impl Sink for TxnFileSink {
     }
 
     fn write(&mut self, rows: &[StreamRow]) -> Result<()> {
-        for sr in rows {
-            let line = self.renderer.render(sr)?;
-            if let Err(e) = writeln!(self.active_writer()?, "{line}") {
+        let mut lines = std::mem::take(&mut self.lines);
+        let rendered = self.renderer.render(rows, &mut lines);
+        // Only a batch with a rendered line decides a pending sink's fate.
+        if !lines.is_empty() {
+            if let Err(e) = self.active_writer()?.write_all(lines.as_bytes()) {
                 return Err(self.err(format!("write error: {e}")));
             }
         }
-        Ok(())
+        self.lines = lines;
+        rendered
     }
 
     fn on_checkpoint(&mut self, epoch: u64) -> Result<()> {
@@ -1039,7 +1063,7 @@ mod tests {
         )
     }
 
-    fn scratch_file(name: &str, content: &str) -> std::path::PathBuf {
+    fn scratch_file(name: &str, content: impl AsRef<[u8]>) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("onesql_file_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
@@ -1248,5 +1272,341 @@ mod tests {
         let err = source.poll_batch(16).unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
         assert!(err.contains("notanumber"), "{err}");
+    }
+
+    /// Poll `content` one record at a time until the source finishes (at
+    /// most 16 polls), through the row or the columnar path. Each outcome
+    /// renders as the row's `Debug` form or the error text, with the
+    /// file's path replaced by `F`.
+    fn poll_outcomes(name: &str, content: &[u8], columnar: bool) -> Vec<String> {
+        let path = scratch_file(name, content);
+        let mut source =
+            CsvFileSource::new(&path, "Bid", schema(), FileSourceConfig::default()).unwrap();
+        let mut outcomes = Vec::new();
+        for _ in 0..16 {
+            let polled = if columnar {
+                source.poll_columns(1).map(|b| {
+                    let b = b.expect("CSV is columnar");
+                    let rows = (0..b.columns.len()).map(|i| b.columns.change(i).row);
+                    (rows.collect::<Vec<_>>(), b.status)
+                })
+            } else {
+                source.poll_batch(1).map(|b| {
+                    (
+                        b.events.into_iter().map(|e| e.change.row).collect(),
+                        b.status,
+                    )
+                })
+            };
+            match polled {
+                Ok((rows, status)) => {
+                    outcomes.extend(rows.iter().map(|r| format!("{r:?}")));
+                    if status == SourceStatus::Finished {
+                        break;
+                    }
+                }
+                Err(e) => outcomes.push(e.to_string().replace(&path.display().to_string(), "F")),
+            }
+        }
+        outcomes
+    }
+
+    /// `poll_outcomes` through both paths, which must agree.
+    fn line_outcomes(name: &str, content: &[u8]) -> Vec<String> {
+        let rows = poll_outcomes(&format!("{name}-rows.csv"), content, false);
+        let cols = poll_outcomes(&format!("{name}-cols.csv"), content, true);
+        assert_eq!(rows, cols, "row and columnar polls disagree on {name}");
+        rows
+    }
+
+    #[test]
+    fn crlf_lines_read_like_lf_lines() {
+        // A CRLF inside a quoted field is a line break like any other and
+        // joins as `\n`.
+        let out = line_outcomes("crlf", b"8:07,2,a\r\n8:08,3,\"b\r\nc\"\r\n\r\n8:09,x,d\r\n");
+        assert_eq!(
+            out,
+            [
+                r#"[Ts(Ts(29220000)), Int(2), Str("a")]"#,
+                r#"[Ts(Ts(29280000)), Int(3), Str("b\nc")]"#,
+                "execution error: file:F: line 5: execution error: cannot parse 'x' as BIGINT",
+            ]
+        );
+    }
+
+    #[test]
+    fn last_line_without_newline_is_a_record() {
+        let out = line_outcomes("nofinal", b"8:07,2,a\n8:08,3,b");
+        assert_eq!(
+            out,
+            [
+                r#"[Ts(Ts(29220000)), Int(2), Str("a")]"#,
+                r#"[Ts(Ts(29280000)), Int(3), Str("b")]"#,
+            ]
+        );
+        let out = line_outcomes("nofinal-quoted", b"8:07,2,a\n8:08,3,\"b\nc\"");
+        assert_eq!(
+            out,
+            [
+                r#"[Ts(Ts(29220000)), Int(2), Str("a")]"#,
+                r#"[Ts(Ts(29280000)), Int(3), Str("b\nc")]"#,
+            ]
+        );
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_but_counted() {
+        let out = line_outcomes("blanks", b"\n8:07,2,a\n\n  \t\n8:08,3,b\n\n8:09,x,c\n\n");
+        assert_eq!(
+            out,
+            [
+                r#"[Ts(Ts(29220000)), Int(2), Str("a")]"#,
+                r#"[Ts(Ts(29280000)), Int(3), Str("b")]"#,
+                "execution error: file:F: line 7: execution error: cannot parse 'x' as BIGINT",
+            ]
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_read_error() {
+        // The unreadable line is consumed but not counted, so the next
+        // poll resumes after it and later line numbers run one short.
+        let out = line_outcomes("badutf8", b"8:07,2,a\n8:08,3,\xff\n8:09,x,c\n");
+        assert_eq!(
+            out,
+            [
+                r#"[Ts(Ts(29220000)), Int(2), Str("a")]"#,
+                "execution error: file:F: read error: stream did not contain valid UTF-8",
+                "execution error: file:F: line 2: execution error: cannot parse 'x' as BIGINT",
+            ]
+        );
+        // Inside a quoted field spanning lines, the partial record is
+        // dropped with the error.
+        let out = line_outcomes("badutf8-quoted", b"8:07,2,\"a\n\xff\"\n8:09,4,c\n");
+        assert_eq!(
+            out,
+            [
+                "execution error: file:F: read error: stream did not contain valid UTF-8",
+                r#"[Ts(Ts(29340000)), Int(4), Str("c")]"#,
+            ]
+        );
+    }
+
+    /// Write `rows` through a headerless appends-mode CSV sink (plain or
+    /// transactional), then read the file back through both source paths:
+    /// `(poll_batch rows, poll_columns rows)`.
+    fn sink_then_source(
+        name: &str,
+        schema: &SchemaRef,
+        rows: &[Row],
+        transactional: bool,
+    ) -> (Vec<Row>, Vec<Row>) {
+        let path = scratch_file(name, "");
+        let stream_rows: Vec<StreamRow> = rows
+            .iter()
+            .map(|row| StreamRow {
+                row: row.clone(),
+                undo: false,
+                ptime: Ts(0),
+                ver: 0,
+            })
+            .collect();
+        let mut sink: Box<dyn Sink> = if transactional {
+            Box::new(TxnFileSink::new(&path, CsvSinkMode::Appends, false))
+        } else {
+            Box::new(CsvFileSink::headerless(&path, CsvSinkMode::Appends).unwrap())
+        };
+        sink.bind(schema.clone()).unwrap();
+        sink.write(&stream_rows).unwrap();
+        sink.flush().unwrap();
+        drop(sink);
+
+        let open =
+            || CsvFileSource::new(&path, "T", schema.clone(), FileSourceConfig::default()).unwrap();
+        let batch = open().poll_batch(rows.len() + 1).unwrap();
+        assert_eq!(batch.status, SourceStatus::Finished);
+        let by_row = batch.events.into_iter().map(|e| e.change.row).collect();
+        let cols = open().poll_columns(rows.len() + 1).unwrap().unwrap();
+        assert_eq!(cols.status, SourceStatus::Finished);
+        let by_col = (0..cols.columns.len())
+            .map(|i| cols.columns.change(i).row)
+            .collect();
+        (by_row, by_col)
+    }
+
+    #[test]
+    fn trailing_carriage_return_survives_sink_to_source() {
+        let schema: SchemaRef = Arc::new(Schema::new(vec![
+            onesql_types::Field::new("v", DataType::Int),
+            onesql_types::Field::new("s", DataType::String),
+        ]));
+        let rows = [row!(1i64, "x\r"), row!(2i64, "\r"), row!(3i64, "a\rb")];
+        for transactional in [false, true] {
+            let name = format!("trailing-cr-{transactional}.csv");
+            let (by_row, by_col) = sink_then_source(&name, &schema, &rows, transactional);
+            assert_eq!(by_row, rows, "transactional = {transactional}");
+            assert_eq!(by_col, rows, "transactional = {transactional}");
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The rendering the in-place renderer replaced, kept as its oracle:
+        /// each value's text form, quoted when needed, joined with commas.
+        fn oracle_csv_line(values: &[Value]) -> String {
+            let format_value = |value: &Value| match value {
+                Value::Null => String::new(),
+                other => other.to_string(),
+            };
+            let escape_csv_field = |text: &str| {
+                if text.contains([',', '"', '\n', '\r']) {
+                    format!("\"{}\"", text.replace('"', "\"\""))
+                } else {
+                    text.to_string()
+                }
+            };
+            values
+                .iter()
+                .map(|v| escape_csv_field(&format_value(v)))
+                .collect::<Vec<_>>()
+                .join(",")
+        }
+
+        /// Text mixing printable ASCII with everything CSV must quote, a
+        /// non-ASCII letter, and the empty string.
+        fn arb_text() -> impl Strategy<Value = String> {
+            prop::collection::vec(
+                prop_oneof![
+                    "\\PC{0,4}",
+                    Just(",".to_string()),
+                    Just("\"".to_string()),
+                    Just("\n".to_string()),
+                    Just("\r".to_string()),
+                    Just("é".to_string()),
+                ],
+                0..6,
+            )
+            .prop_map(|parts| parts.concat())
+        }
+
+        fn arb_ts() -> impl Strategy<Value = Ts> {
+            prop_oneof![
+                (-10_000_000_000_000i64..10_000_000_000_000).prop_map(Ts),
+                // Sub-second, around zero on both sides.
+                (-5_000i64..5_000).prop_map(Ts),
+                (-10_000i64..10_000).prop_map(Ts::from_minutes),
+                Just(Ts::MIN),
+                Just(Ts::MAX),
+            ]
+        }
+
+        fn arb_float() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                any::<f64>(),
+                (-1_000_000i64..1_000_000).prop_map(|v| v as f64 / 64.0),
+            ]
+        }
+
+        /// One typed value per column; NULLs only where the text form
+        /// cannot confuse them with the empty string.
+        fn arb_value(data_type: DataType) -> BoxedStrategy<Value> {
+            let value: BoxedStrategy<Value> = match data_type {
+                DataType::Int => any::<i64>().prop_map(Value::Int).boxed(),
+                DataType::Float => arb_float().prop_map(Value::Float).boxed(),
+                DataType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
+                DataType::Timestamp => arb_ts().prop_map(Value::Ts).boxed(),
+                DataType::Interval => (-10_000_000_000_000i64..10_000_000_000_000)
+                    .prop_map(|ms| Value::Interval(Duration(ms)))
+                    .boxed(),
+                DataType::String => return arb_text().prop_map(Value::str).boxed(),
+                DataType::Null => return Just(Value::Null).boxed(),
+            };
+            prop::option::of(value)
+                .prop_map(|v| v.unwrap_or(Value::Null))
+                .boxed()
+        }
+
+        const TYPES: [DataType; 7] = [
+            DataType::String,
+            DataType::Int,
+            DataType::Float,
+            DataType::Bool,
+            DataType::Timestamp,
+            DataType::Interval,
+            DataType::String,
+        ];
+
+        fn all_types_schema() -> SchemaRef {
+            Arc::new(Schema::new(
+                TYPES
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| onesql_types::Field::new(format!("c{i}"), t))
+                    .collect(),
+            ))
+        }
+
+        fn arb_row() -> impl Strategy<Value = Row> {
+            let [a, b, c, d, e, f, g] = TYPES.map(arb_value);
+            (a, b, c, d, e, f, g)
+                .prop_map(|(a, b, c, d, e, f, g)| Row::new(vec![a, b, c, d, e, f, g]))
+        }
+
+        /// Any value of any type at any position, NULLs included.
+        fn arb_loose_row() -> impl Strategy<Value = Vec<Value>> {
+            let any_value = prop_oneof![
+                Just(Value::Null),
+                arb_value(DataType::Int),
+                arb_value(DataType::Float),
+                arb_value(DataType::Bool),
+                arb_value(DataType::Timestamp),
+                arb_value(DataType::Interval),
+                arb_value(DataType::String),
+            ];
+            prop::collection::vec(any_value, 0..6)
+        }
+
+        proptest! {
+            #[test]
+            fn in_place_rendering_matches_the_per_value_oracle(values in arb_loose_row()) {
+                let mut line = String::new();
+                text::push_csv_row(&mut line, &values);
+                prop_assert_eq!(line, oracle_csv_line(&values));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn sink_to_source_round_trips(
+                rows in prop::collection::vec(arb_row(), 1..8),
+                transactional in any::<bool>(),
+            ) {
+                let schema = all_types_schema();
+                let name = format!("roundtrip-{}.csv", std::process::id());
+                let (by_row, by_col) = sink_then_source(&name, &schema, &rows, transactional);
+                // Line reading treats a CRLF inside a quoted field as the
+                // line break it is, so it reads back as `\n`.
+                let expected: Vec<Row> = rows
+                    .iter()
+                    .map(|row| {
+                        Row::new(
+                            row.values()
+                                .iter()
+                                .map(|v| match v {
+                                    Value::Str(s) => Value::str(s.replace("\r\n", "\n")),
+                                    other => other.clone(),
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                prop_assert_eq!(&by_row, &expected);
+                prop_assert_eq!(&by_col, &expected);
+            }
+        }
     }
 }

@@ -5,6 +5,8 @@
 //! guidance, so a file written by a sink round-trips through a source with
 //! the same schema.
 
+use std::fmt::Write as _;
+
 use onesql_types::{ColumnBuilder, DataType, Duration, Error, Result, Row, Schema, Ts, Value};
 
 /// Parse one text field into a [`Value`] of the given type. Empty text is
@@ -145,24 +147,20 @@ pub fn parse_interval(text: &str) -> Result<Duration> {
     Ok(Duration(n * scale))
 }
 
-/// Render a value for a text field. NULL renders empty.
-pub fn format_value(value: &Value) -> String {
-    match value {
-        Value::Null => String::new(),
-        other => other.to_string(),
-    }
-}
-
-/// Parse a full delimited record against a schema (fields in order).
-pub fn parse_record(fields: &[String], schema: &Schema) -> Result<Row> {
-    if fields.len() != schema.arity() {
+/// Check a record's field count against the schema's arity.
+pub fn check_arity(fields: usize, schema: &Schema) -> Result<()> {
+    if fields != schema.arity() {
         return Err(Error::exec(format!(
-            "record has {} fields, schema '{}' expects {}",
-            fields.len(),
-            schema,
+            "record has {fields} fields, schema '{schema}' expects {}",
             schema.arity()
         )));
     }
+    Ok(())
+}
+
+/// Parse a full delimited record against a schema (fields in order).
+pub fn parse_record(fields: &[&str], schema: &Schema) -> Result<Row> {
+    check_arity(fields.len(), schema)?;
     let mut values = Vec::with_capacity(fields.len());
     for (text, field) in fields.iter().zip(schema.fields()) {
         values.push(parse_value(text, field.data_type)?);
@@ -198,31 +196,122 @@ pub fn split_csv_line(line: &str) -> Vec<String> {
     fields
 }
 
+/// The fields of one CSV record. A record with no `"` is split in place,
+/// each field borrowed from the line; only a quoted record is unescaped
+/// into owned fields by [`split_csv_line`].
+pub(crate) enum CsvRecord<'a> {
+    /// No quotes: the fields are the line's comma-separated slices.
+    Plain(&'a str),
+    /// At least one quote: the unescaped fields.
+    Quoted(Vec<String>),
+}
+
+impl<'a> CsvRecord<'a> {
+    pub(crate) fn split(line: &'a str) -> CsvRecord<'a> {
+        if line.contains('"') {
+            CsvRecord::Quoted(split_csv_line(line))
+        } else {
+            CsvRecord::Plain(line)
+        }
+    }
+
+    /// Number of fields; counts commas for an unquoted record.
+    pub(crate) fn arity(&self) -> usize {
+        match self {
+            CsvRecord::Plain(line) => line.bytes().filter(|&b| b == b',').count() + 1,
+            CsvRecord::Quoted(fields) => fields.len(),
+        }
+    }
+
+    pub(crate) fn fields(&self) -> CsvFields<'_> {
+        match self {
+            CsvRecord::Plain(line) => CsvFields::Plain(Some(line)),
+            CsvRecord::Quoted(fields) => CsvFields::Quoted(fields.iter()),
+        }
+    }
+}
+
+/// Iterator over a [`CsvRecord`]'s fields.
+pub(crate) enum CsvFields<'r> {
+    /// The unsplit rest of an unquoted line; `None` once exhausted. (A
+    /// plain byte scan: `str::split` costs several times more on the
+    /// short fields of a typical record.)
+    Plain(Option<&'r str>),
+    Quoted(std::slice::Iter<'r, String>),
+}
+
+impl<'r> Iterator for CsvFields<'r> {
+    type Item = &'r str;
+
+    fn next(&mut self) -> Option<&'r str> {
+        match self {
+            CsvFields::Plain(rest) => {
+                let line = (*rest)?;
+                match line.bytes().position(|b| b == b',') {
+                    Some(i) => {
+                        *rest = line.get(i + 1..);
+                        line.get(..i)
+                    }
+                    None => rest.take(),
+                }
+            }
+            CsvFields::Quoted(fields) => fields.next().map(String::as_str),
+        }
+    }
+}
+
 /// True when every quote in the line is closed — i.e. the line is a
 /// complete CSV record. Records whose quoted fields embed newlines span
 /// several physical lines; readers join lines until this holds. (Bare
 /// quotes inside unquoted fields are invalid CSV and not produced by
-/// [`escape_csv_field`].)
+/// [`push_csv_field`].)
 pub fn csv_quotes_balanced(line: &str) -> bool {
-    line.chars().filter(|&c| c == '"').count() % 2 == 0
+    !line.contains('"') || line.bytes().filter(|&b| b == b'"').count() % 2 == 0
 }
 
-/// Render one CSV field, quoting only when necessary.
-pub fn escape_csv_field(text: &str) -> String {
-    if text.contains(',') || text.contains('"') || text.contains('\n') {
-        format!("\"{}\"", text.replace('"', "\"\""))
-    } else {
-        text.to_string()
+/// Append one CSV field to `out`, quoted (embedded quotes doubled) when it
+/// holds a `,`, `"`, `\n` or `\r` as RFC 4180 requires — an unquoted CR
+/// before the line's end would be stripped as part of a CRLF terminator.
+pub fn push_csv_field(out: &mut String, text: &str) {
+    if !text
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+    {
+        out.push_str(text);
+        return;
     }
+    out.push('"');
+    for (i, part) in text.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
 }
 
-/// Render a row as one CSV line.
-pub fn row_to_csv(row: &Row) -> String {
-    row.values()
-        .iter()
-        .map(|v| escape_csv_field(&format_value(v)))
-        .collect::<Vec<_>>()
-        .join(",")
+/// Append `values` to `out` as one CSV record, without a line terminator.
+/// NULL renders empty, strings are quoted by [`push_csv_field`], and every
+/// other value writes its `Display` form in place (timestamps as clock
+/// strings, intervals compactly; none of these forms needs quoting).
+pub fn push_csv_row(out: &mut String, values: &[Value]) {
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match value {
+            Value::Null => {}
+            Value::Str(s) => push_csv_field(out, s),
+            // Formatting into a String cannot fail. Ints, the common
+            // case, skip `Value`'s `Display` indirection.
+            Value::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            other => {
+                let _ = write!(out, "{other}");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -249,7 +338,10 @@ mod tests {
             (Value::Null, DataType::Int),
         ];
         for (value, dt) in cases {
-            let text = format_value(&value);
+            let text = match &value {
+                Value::Null => String::new(),
+                other => other.to_string(),
+            };
             let back = parse_value(&text, dt).unwrap();
             assert_eq!(back, value, "via {text:?}");
         }
@@ -258,9 +350,29 @@ mod tests {
     #[test]
     fn csv_quoting_round_trips() {
         let r = row!("a,b", "say \"hi\"", 7i64);
-        let line = row_to_csv(&r);
+        let mut line = String::new();
+        push_csv_row(&mut line, r.values());
         let fields = split_csv_line(&line);
         assert_eq!(fields, vec!["a,b", "say \"hi\"", "7"]);
+    }
+
+    #[test]
+    fn carriage_returns_are_quoted() {
+        let mut line = String::new();
+        push_csv_row(&mut line, row!(1i64, "x\r", "a\rb", "").values());
+        assert_eq!(line, "1,\"x\r\",\"a\rb\",");
+    }
+
+    #[test]
+    fn unquoted_records_split_in_place() {
+        let record = CsvRecord::split("8:07,,a b,");
+        assert!(matches!(record, CsvRecord::Plain(_)));
+        assert_eq!(record.arity(), 4);
+        assert_eq!(record.fields().collect::<Vec<_>>(), ["8:07", "", "a b", ""]);
+        let record = CsvRecord::split("1,\"a,\"\"b\"\"\",");
+        assert!(matches!(record, CsvRecord::Quoted(_)));
+        assert_eq!(record.arity(), 3);
+        assert_eq!(record.fields().collect::<Vec<_>>(), ["1", "a,\"b\"", ""]);
     }
 
     #[test]

@@ -67,13 +67,20 @@ impl Ts {
     }
 
     /// Render as `H:MM` when the value is a whole number of minutes (as in
-    /// all of the paper's examples), otherwise as `H:MM:SS.mmm`.
+    /// all of the paper's examples), otherwise as `H:MM:SS.mmm`; the
+    /// sentinels render as `+inf` / `-inf`. Same text as `Display`.
     pub fn to_clock_string(self) -> String {
-        if self == Ts::MAX {
-            return "+inf".to_string();
+        self.to_string()
+    }
+}
+
+impl fmt::Display for Ts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if *self == Ts::MAX {
+            return f.write_str("+inf");
         }
-        if self == Ts::MIN {
-            return "-inf".to_string();
+        if *self == Ts::MIN {
+            return f.write_str("-inf");
         }
         let total_ms = self.0;
         let (sign, ms) = if total_ms < 0 {
@@ -85,18 +92,12 @@ impl Ts {
         let minutes = (ms % MILLIS_PER_HOUR) / MILLIS_PER_MINUTE;
         let rem_ms = ms % MILLIS_PER_MINUTE;
         if rem_ms == 0 {
-            format!("{sign}{hours}:{minutes:02}")
+            write!(f, "{sign}{hours}:{minutes:02}")
         } else {
             let seconds = rem_ms / MILLIS_PER_SECOND;
             let millis = rem_ms % MILLIS_PER_SECOND;
-            format!("{sign}{hours}:{minutes:02}:{seconds:02}.{millis:03}")
+            write!(f, "{sign}{hours}:{minutes:02}:{seconds:02}.{millis:03}")
         }
-    }
-}
-
-impl fmt::Display for Ts {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_clock_string())
     }
 }
 
@@ -230,6 +231,26 @@ mod tests {
     fn sentinel_display() {
         assert_eq!(Ts::MAX.to_clock_string(), "+inf");
         assert_eq!(Ts::MIN.to_clock_string(), "-inf");
+    }
+
+    #[test]
+    fn display_writes_the_clock_form() {
+        let cases = [
+            (Ts::MAX, "+inf"),
+            (Ts::MIN, "-inf"),
+            (Ts::from_minutes(-61), "-1:01"),
+            (Ts(-1_500), "-0:00:01.500"),
+            (Ts::hm(8, 7), "8:07"),
+            (Ts::hm(0, 0), "0:00"),
+            (Ts::hm(123, 59), "123:59"),
+            (Ts(8 * MILLIS_PER_HOUR + 90_500), "8:01:30.500"),
+            (Ts(1), "0:00:00.001"),
+            (Ts(59_999), "0:00:59.999"),
+        ];
+        for (t, text) in cases {
+            assert_eq!(format!("{t}"), text, "{t:?}");
+            assert_eq!(t.to_clock_string(), text, "{t:?}");
+        }
     }
 
     #[test]
