@@ -6,6 +6,12 @@
 //! overhead (parse, batch, schedule, watermark bookkeeping), not operator
 //! work. Expected shape: channel fastest (no parsing), NEXMark next
 //! (generation cost), CSV slowest (text parsing per field).
+//!
+//! `net_loopback` is the wire path, closed loop: a `NetPublisher` thread
+//! sends as fast as the socket takes frames into a 1-partition net source
+//! feeding a 1-worker sharded driver. The consumer reads and decodes
+//! frames on the driver thread, so this is what a saturated wire costs
+//! the driver.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -14,6 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use onesql_connect::{channel, CsvFileSource, FileSourceConfig, NexmarkSource};
 use onesql_connect::{register_nexmark_streams, PartitionedNexmarkSource};
+use onesql_connect::{NetAddr, NetConfig, NetPublisher, PartitionedNetSource};
 use onesql_core::{Engine, ShardedConfig, StreamBuilder};
 use onesql_types::{row, DataType, Schema, Ts};
 
@@ -89,6 +96,35 @@ fn run_nexmark() -> u64 {
     pipeline.run().unwrap().events_in
 }
 
+fn run_net_loopback() -> u64 {
+    let mut engine = bid_engine();
+    let streams = vec!["Bid".to_string()];
+    let source = PartitionedNetSource::bind(
+        NetAddr::tcp("127.0.0.1:0"),
+        streams.clone(),
+        1,
+        NetConfig::default(),
+    )
+    .unwrap();
+    let addr = source.local_addr();
+    engine.attach_partitioned_source(Box::new(source)).unwrap();
+    let producer = std::thread::spawn(move || {
+        let mut publisher = NetPublisher::new(addr, 0, streams, NetConfig::default());
+        for i in 0..N as i64 {
+            publisher
+                .insert(0, Ts(i), row!(Ts(i), i % 100, "item"))
+                .unwrap();
+        }
+        publisher.finish().unwrap();
+    });
+    let mut pipeline = engine
+        .run_sharded_pipeline(SQL, ShardedConfig::new(1))
+        .unwrap();
+    let events = pipeline.run().unwrap().events_in;
+    producer.join().unwrap();
+    events
+}
+
 /// The sharded scaling workload: a windowed multi-aggregate over Bid,
 /// partitioned by auction, watermark-gated so per-event operator work (the
 /// part that shards across workers) dominates output rendering (the part
@@ -135,6 +171,9 @@ fn bench_ingest(c: &mut Criterion) {
     });
     group.bench_function("nexmark", |b| {
         b.iter(|| assert_eq!(run_nexmark(), N as u64))
+    });
+    group.bench_function("net_loopback", |b| {
+        b.iter(|| assert_eq!(run_net_loopback(), N as u64))
     });
     group.finish();
 

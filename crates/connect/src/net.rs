@@ -18,10 +18,23 @@
 //!   exactly-once across the process boundary.
 //! - **Reader side**: [`PartitionedNetSource`] (one partition per
 //!   accepted connection, claimed by the producer's handshake) and the
-//!   single-partition [`NetSource`]. Seeking a fresh source to a
-//!   checkpointed offset records a *resume offset* announced in the
-//!   handshake reply; the producer rewinds its spool to that offset and
-//!   re-sends. Driver checkpoints flow back as `ACK` frames
+//!   single-partition [`NetSource`]. A background acceptor runs each
+//!   connection's handshake on a short-lived thread, which then hands
+//!   the connection to the partition it claimed and exits. From there
+//!   the driver's own polls read and decode frames, on the polling
+//!   thread: no reader thread and no queue between the socket and the
+//!   driver. Each partition reads through a buffer, with
+//!   [`NetConfig::poll_wait`] as the socket read timeout; one `read`
+//!   usually brings a whole frame, and a frame a timeout cuts short
+//!   resumes at the next poll. A producer that runs ahead is held back
+//!   by the socket itself. With [`NetConfig::producer_restarts`] the
+//!   poll that finds a connection dead releases its claim and waits for
+//!   the next one; a restarted producer whose handshake finds the claim
+//!   still held by a closed connection releases it itself, so a restart
+//!   never waits for the driver to poll that partition. Seeking a fresh
+//!   source to a checkpointed offset records a *resume offset* announced
+//!   in the handshake reply; the producer rewinds its spool to that
+//!   offset and re-sends. Driver checkpoints flow back as `ACK` frames
 //!   ([`PartitionedSource::ack`]) that let the producer trim the spool.
 //!
 //! The frame layout (magic, version, schema header, batch / ack frames,
@@ -57,8 +70,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as StdDuration, Instant};
-
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use onesql_core::connect::{
     PartitionedSource, PartitionedVec, Sink, Source, SourceBatch, SourceEvent, SourceStatus,
@@ -193,6 +204,13 @@ impl NetConn {
         match self {
             NetConn::Tcp(s) => s.set_read_timeout(dur),
             NetConn::Unix(s) => s.set_read_timeout(dur),
+        }
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        match self {
+            NetConn::Tcp(s) => s.set_nonblocking(nonblocking),
+            NetConn::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
 }
@@ -457,10 +475,12 @@ fn write_frame(conn: &mut NetConn, context: &str, body: &[u8]) -> Result<()> {
 
 /// How reading one frame ended, classified so restart-tolerant readers
 /// can tell a *dead* peer (transport gone) from a *wrong* one (bytes
-/// arrived but are corrupt).
-enum FrameRead {
+/// arrived but are corrupt). `B` is the body: owned for the blocking
+/// reads (handshakes, the publisher's ack reader), borrowed from the
+/// buffer for a [`FrameStream`].
+enum FrameRead<B> {
     /// A whole, CRC-verified frame body.
-    Frame(Vec<u8>),
+    Frame(B),
     /// Clean end-of-stream exactly on a frame boundary.
     Eof,
     /// The transport died mid-frame (partial bytes then EOF, or a read
@@ -472,53 +492,260 @@ enum FrameRead {
     Corrupt(String),
 }
 
-/// Read and classify one frame: `len | body | crc32(body)`.
-fn read_frame_raw(conn: &mut NetConn, context: &str) -> FrameRead {
+/// The body length a frame's prefix announces; a length past
+/// [`MAX_FRAME_LEN`] is corruption, refused before any allocation.
+fn frame_len(prefix: [u8; 4], context: &str) -> std::result::Result<usize, String> {
+    let len = u32::from_le_bytes(prefix);
+    if len > MAX_FRAME_LEN {
+        return Err(format!(
+            "{context}: frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound \
+             (corrupt length prefix?)"
+        ));
+    }
+    Ok(len as usize)
+}
+
+/// Check a frame body against the CRC that trailed it on the wire.
+fn verify_crc(body: &[u8], crc: [u8; 4], context: &str) -> std::result::Result<(), String> {
+    let crc_wire = u32::from_le_bytes(crc);
+    let crc_body = crc32(body);
+    if crc_wire != crc_body {
+        return Err(format!(
+            "{context}: CRC mismatch (frame says {crc_wire:#010x}, body hashes \
+             to {crc_body:#010x})"
+        ));
+    }
+    Ok(())
+}
+
+/// The error for a peer that closed after `got` bytes of an unfinished
+/// frame.
+fn eof_inside_frame(context: &str, got: usize) -> String {
+    if got < 4 {
+        format!("{context}: disconnected inside a frame length prefix ({got} of 4 bytes)")
+    } else {
+        format!("{context}: disconnected mid-frame")
+    }
+}
+
+/// Read and classify one frame: `len | body | crc32(body)`, blocking, and
+/// reading no byte past the frame (handshakes hand the connection on).
+fn read_frame_raw(conn: &mut NetConn, context: &str) -> FrameRead<Vec<u8>> {
     let mut len_buf = [0u8; 4];
     let mut got = 0usize;
     while got < 4 {
         match conn.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return FrameRead::Eof;
-                }
-                return FrameRead::Death(format!(
-                    "{context}: disconnected inside a frame length prefix \
-                     ({got} of 4 bytes)"
-                ));
-            }
+            Ok(0) if got == 0 => return FrameRead::Eof,
+            Ok(0) => return FrameRead::Death(eof_inside_frame(context, got)),
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return FrameRead::Death(io_err(context, e).to_string()),
         }
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return FrameRead::Corrupt(format!(
-            "{context}: frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound \
-             (corrupt length prefix?)"
-        ));
-    }
-    let mut body = vec![0u8; len as usize + 4];
+    let len = match frame_len(len_buf, context) {
+        Ok(len) => len,
+        Err(msg) => return FrameRead::Corrupt(msg),
+    };
+    let mut body = vec![0u8; len + 4];
     if let Err(e) = conn.read_exact(&mut body) {
         return FrameRead::Death(if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            format!("{context}: disconnected mid-frame")
+            eof_inside_frame(context, 4)
         } else {
             io_err(context, e).to_string()
         });
     }
-    let mut crc_bytes = [0u8; 4];
-    crc_bytes.copy_from_slice(&body[len as usize..]);
-    let crc_wire = u32::from_le_bytes(crc_bytes);
-    body.truncate(len as usize);
-    let crc_body = crc32(&body);
-    if crc_wire != crc_body {
-        return FrameRead::Corrupt(format!(
-            "{context}: CRC mismatch (frame says {crc_wire:#010x}, body hashes \
-             to {crc_body:#010x})"
-        ));
+    let mut crc = [0u8; 4];
+    crc.copy_from_slice(&body[len..]);
+    body.truncate(len);
+    if let Err(msg) = verify_crc(&body, crc, context) {
+        return FrameRead::Corrupt(msg);
     }
     FrameRead::Frame(body)
+}
+
+/// Initial (and, between frames, retained) size of a [`FrameStream`]'s
+/// buffer. A larger frame grows it only while that frame is buffered.
+const FRAME_BUF_LEN: usize = 64 * 1024;
+
+/// A connection's frames, read through a buffer that survives timeouts:
+/// the buffered, resumable frame reader a partition's poller uses after
+/// the handshake. One `read` usually brings a whole frame (or several,
+/// which later polls consume from the buffer without touching the
+/// socket); a read that times out keeps what did arrive, so a frame cut
+/// by a timeout resumes at the next poll.
+struct FrameStream {
+    conn: NetConn,
+    buf: Vec<u8>,
+    /// Start of the bytes not yet consumed as frames.
+    head: usize,
+    /// End of the bytes read so far.
+    end: usize,
+    /// The wait currently set on `conn`; `None` until the first read.
+    wait: Option<StdDuration>,
+}
+
+impl FrameStream {
+    fn new(conn: NetConn) -> FrameStream {
+        FrameStream {
+            conn,
+            buf: vec![0; FRAME_BUF_LEN],
+            head: 0,
+            end: 0,
+            wait: None,
+        }
+    }
+
+    /// The next whole frame. The first read waits up to `wait`, any
+    /// further read the frame needs waits until `deadline`; `None` when
+    /// either runs out first (what did arrive stays buffered).
+    fn next_frame(
+        &mut self,
+        context: &str,
+        wait: StdDuration,
+        deadline: Instant,
+    ) -> Option<FrameRead<&[u8]>> {
+        let mut wait = Some(wait);
+        let body = loop {
+            match self.take_buffered(context) {
+                Ok(Some(body)) => break body,
+                Ok(None) => {}
+                Err(msg) => return Some(FrameRead::Corrupt(msg)),
+            }
+            let timeout = match wait.take() {
+                Some(first) => first,
+                None => match deadline.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => left,
+                    _ => return None,
+                },
+            };
+            if let Err(e) = self.set_wait(timeout) {
+                return Some(FrameRead::Death(io_err(context, e).to_string()));
+            }
+            match self.fill() {
+                Ok(0) if self.head == self.end => return Some(FrameRead::Eof),
+                Ok(0) => {
+                    return Some(FrameRead::Death(eof_inside_frame(
+                        context,
+                        self.end - self.head,
+                    )))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return None
+                }
+                Err(e) => return Some(FrameRead::Death(io_err(context, e).to_string())),
+            }
+        };
+        Some(FrameRead::Frame(&self.buf[body]))
+    }
+
+    /// If a whole frame is buffered, verify it, consume it, and return
+    /// its body's range in `buf`.
+    fn take_buffered(
+        &mut self,
+        context: &str,
+    ) -> std::result::Result<Option<std::ops::Range<usize>>, String> {
+        let buffered = &self.buf[self.head..self.end];
+        let Some(&prefix) = buffered.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = frame_len(prefix, context)?;
+        if buffered.len() < len + 8 {
+            return Ok(None);
+        }
+        let body = self.head + 4..self.head + 4 + len;
+        let mut crc = [0u8; 4];
+        crc.copy_from_slice(&self.buf[body.end..body.end + 4]);
+        verify_crc(&self.buf[body.clone()], crc, context)?;
+        self.head = body.end + 4;
+        Ok(Some(body))
+    }
+
+    /// Read once, after making room for the rest of the frame at the
+    /// head of the buffer. Call only when
+    /// [`FrameStream::take_buffered`] found no whole frame, so a buffered
+    /// length prefix is already known to be in bounds.
+    fn fill(&mut self) -> std::io::Result<usize> {
+        if self.head == self.end {
+            self.head = 0;
+            self.end = 0;
+            if self.buf.len() > FRAME_BUF_LEN {
+                self.buf.truncate(FRAME_BUF_LEN);
+                self.buf.shrink_to_fit();
+            }
+        }
+        let frame = match self.buf[self.head..self.end].first_chunk::<4>() {
+            Some(&prefix) => u32::from_le_bytes(prefix) as usize + 8,
+            None => 4,
+        };
+        if self.head + frame > self.buf.len() {
+            self.buf.copy_within(self.head..self.end, 0);
+            self.end -= self.head;
+            self.head = 0;
+            if frame > self.buf.len() {
+                self.buf.resize(frame, 0);
+            }
+        }
+        let n = self.conn.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Whether the peer has closed the connection: read whatever already
+    /// arrived, without waiting, and keep it buffered. A clean close or a
+    /// read error is closed; a connection with nothing more to say yet
+    /// is open. Leaves the socket non-blocking until the next
+    /// [`FrameStream::next_frame`] sets its wait again.
+    fn peer_closed(&mut self) -> bool {
+        if self.conn.set_nonblocking(true).is_err() {
+            return false;
+        }
+        self.wait = None;
+        loop {
+            if self.end == self.buf.len() {
+                if self.head > 0 {
+                    self.buf.copy_within(self.head..self.end, 0);
+                    self.end -= self.head;
+                    self.head = 0;
+                } else if self.buf.len() >= MAX_FRAME_LEN as usize + 8 {
+                    return false; // a frame's worth and still streaming
+                } else {
+                    let grown = (self.buf.len() * 2).min(MAX_FRAME_LEN as usize + 8);
+                    self.buf.resize(grown, 0);
+                }
+            }
+            match self.conn.read(&mut self.buf[self.end..]) {
+                Ok(0) => return true,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+                Err(_) => return true,
+            }
+        }
+    }
+
+    /// Make the next read wait at most `wait`: a socket call only when
+    /// the wait changes. A zero wait is a non-blocking read (the socket
+    /// API refuses a zero timeout).
+    fn set_wait(&mut self, wait: StdDuration) -> std::io::Result<()> {
+        if self.wait == Some(wait) {
+            return Ok(());
+        }
+        if self.wait.is_none_or(|old| old.is_zero() != wait.is_zero()) {
+            self.conn.set_nonblocking(wait.is_zero())?;
+        }
+        if !wait.is_zero() {
+            self.conn.set_read_timeout(Some(wait))?;
+        }
+        self.wait = Some(wait);
+        Ok(())
+    }
 }
 
 /// Read one frame body, verifying the length bound and the CRC.
@@ -616,7 +843,11 @@ pub struct NetConfig {
     /// connection, covering connect retries and the handshake reply.
     pub connect_timeout: StdDuration,
     /// Consumer: how long a poll waits for the next frame before
-    /// reporting an idle batch.
+    /// reporting an idle batch. It is the socket read timeout of the
+    /// partition's connection (the driver's poll reads the socket
+    /// itself), or, with no producer connected yet, the wait for one.
+    /// Bytes of a frame that has not fully arrived when it runs out stay
+    /// buffered for the next poll. Zero makes polls non-blocking.
     ///
     /// This wait is what keeps a consumer's scheduling rounds a function
     /// of the byte stream rather than of arrival timing (the determinism
@@ -1501,7 +1732,7 @@ impl Sink for NetSink {
 // Reader side: PartitionedNetSource and NetSource.
 // ---------------------------------------------------------------------------
 
-/// What a connection's reader thread hands the polling source.
+/// A decoded post-handshake frame.
 enum Decoded {
     Batch {
         events: Vec<SourceEvent>,
@@ -1520,13 +1751,35 @@ enum Decoded {
         watermark: Option<Ts>,
     },
     Finished,
-    Failed(String),
 }
 
-/// Per-partition shared state between the acceptor/reader threads and the
-/// polling source.
+/// A producer connection after its handshake: from then on the
+/// partition's poller reads and decodes its frames.
+struct Inbound {
+    frames: FrameStream,
+    /// Wire version the preamble announced; frames parse at its layout.
+    version: u16,
+    /// Offset the next `BATCH` frame must start at: the handshake's
+    /// resume offset plus every event decoded since.
+    expected: u64,
+}
+
+/// What a handshake hands a partition's poller.
+#[derive(Default)]
+struct Handoff {
+    /// The connection whose handshake claimed the partition.
+    conn: Option<Inbound>,
+    /// The handshake failed after the partition was claimed.
+    failed: Option<String>,
+}
+
+/// Per-partition shared state between the acceptor/handshake threads and
+/// the polling source.
 struct PartSlot {
-    tx: Sender<Decoded>,
+    /// The partition's connection, locked by the poller while it reads.
+    handoff: Mutex<Handoff>,
+    /// Signalled when a handshake hands a connection (or a failure) over.
+    handed: Condvar,
     /// Write half of the accepted connection, for `ACK` frames.
     writer: Mutex<Option<NetConn>>,
     /// At most one connection may hold a partition at a time. Without
@@ -1548,6 +1801,73 @@ struct PartSlot {
     /// Telemetry: producer connections that completed the handshake
     /// (`connections - 1` is the partition's reconnect count).
     connections: AtomicU64,
+}
+
+impl PartSlot {
+    fn new() -> PartSlot {
+        PartSlot {
+            handoff: Mutex::new(Handoff::default()),
+            handed: Condvar::new(),
+            writer: Mutex::new(None),
+            claimed: AtomicBool::new(false),
+            resume: AtomicU64::new(0),
+            finished: AtomicBool::new(false),
+            frames: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+        }
+    }
+
+    fn handoff(&self) -> std::sync::MutexGuard<'_, Handoff> {
+        self.handoff
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Hand the partition's poller a connection or a failure.
+    fn hand_over(&self, update: impl FnOnce(&mut Handoff)) {
+        update(&mut self.handoff());
+        self.handed.notify_all();
+    }
+
+    /// Release the claim of a dead connection so a restarted producer
+    /// can take over mid-stream: record where delivery stopped (the
+    /// handshake floor for the next connection), drop the ack writer,
+    /// then free the claim — strictly in that order, since a new
+    /// connection may claim the instant the flag drops and must read the
+    /// updated resume.
+    fn release_for_restart(&self, resume: u64) {
+        self.resume.store(resume, Ordering::Release);
+        *self
+            .writer
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        self.claimed.store(false, Ordering::Release);
+    }
+
+    /// A restarted producer contests this partition's claim: if the
+    /// connection holding it is dead, drop it and release the claim now,
+    /// rather than when the driver next polls this partition (the driver
+    /// may be waiting on another partition for data that the same
+    /// producer sends only after this handshake). Frames the dead
+    /// connection sent that the poller has not decoded go with it; the
+    /// contender resumes right after the last decoded frame and re-sends
+    /// them. A poller busy reading the connection finds a close itself.
+    fn supersede_dead(&self) {
+        let Ok(mut handoff) = self.handoff.try_lock() else {
+            return;
+        };
+        let Some(inbound) = handoff.conn.as_mut() else {
+            return;
+        };
+        if inbound.frames.peer_closed() {
+            let expected = inbound.expected;
+            if let Some(dead) = handoff.conn.take() {
+                dead.frames.conn.shutdown();
+            }
+            self.release_for_restart(expected);
+        }
+    }
 }
 
 /// Per-partition wire telemetry of a net source: what arrived, and how
@@ -1593,15 +1913,17 @@ impl ListenerShared {
 }
 
 /// One partition of a [`PartitionedNetSource`], as a [`Source`] the
-/// [`PartitionedVec`] adapter can fold. Polls deliver **at most one wire
-/// frame each** (see the module docs on determinism), waiting up to
+/// [`PartitionedVec`] adapter can fold. Polls read and decode the
+/// partition's frames on the polling thread and deliver **at most one
+/// wire frame each** (see the module docs on determinism), waiting up to
 /// [`NetConfig::poll_wait`] for it before reporting idle.
 struct NetPartition {
     name: String,
     streams: Vec<String>,
     /// This partition's index into `shared.parts`.
     slot: usize,
-    rx: Receiver<Decoded>,
+    /// The first poll released the held handshake replies.
+    released: bool,
     shared: Arc<ListenerShared>,
     /// Events of the frame currently being emitted.
     pending: VecDeque<SourceEvent>,
@@ -1625,17 +1947,16 @@ impl NetPartition {
         if let Some(msg) = &self.failed {
             return Err(Error::exec(msg.clone()));
         }
-        if let Some(msg) = self
+        let failure = self
             .shared
             .failure
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-        {
-            self.failed = Some(msg.clone());
-            return Err(Error::exec(msg));
+            .clone();
+        match failure {
+            Some(msg) => Err(self.fail(msg)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Enforce [`NetConfig::silence_limit`]: once a producer has claimed
@@ -1660,10 +1981,116 @@ impl NetPartition {
                  legitimately quiet",
                 self.name
             );
-            self.failed = Some(msg.clone());
-            return Err(Error::exec(msg));
+            return Err(self.fail(msg));
         }
         Ok(())
+    }
+
+    /// Poison the partition with `msg`.
+    fn fail(&mut self, msg: String) -> Error {
+        self.failed = Some(msg.clone());
+        Error::exec(msg)
+    }
+
+    /// Wait up to [`NetConfig::poll_wait`] for the producer's next frame
+    /// and decode it; `Ok(None)` when none arrived in time. Without a
+    /// connection (none yet, or a dead one released for a restart) the
+    /// wait is for the next handed-over one.
+    fn next_decoded(&mut self) -> Result<Option<Decoded>> {
+        let deadline = Instant::now() + self.poll_wait;
+        let mut wait = self.poll_wait;
+        let slot = &self.shared.parts[self.slot];
+        let mut handoff = slot.handoff();
+        let outcome = loop {
+            if let Some(msg) = handoff.failed.take() {
+                break Err(msg);
+            }
+            let Some(inbound) = handoff.conn.as_mut() else {
+                if wait.is_zero() {
+                    break Ok(None);
+                }
+                handoff = slot
+                    .handed
+                    .wait_timeout(handoff, wait)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .0;
+                wait = deadline.saturating_duration_since(Instant::now());
+                continue;
+            };
+            match inbound.frames.next_frame(&self.name, wait, deadline) {
+                Some(FrameRead::Frame(body)) => {
+                    slot.frames.fetch_add(1, Ordering::AcqRel);
+                    slot.bytes.fetch_add(body.len() as u64, Ordering::AcqRel);
+                    if observe::enabled() {
+                        observe::counter(&format!("{}.frames", self.name), 1);
+                        observe::counter(&format!("{}.bytes", self.name), body.len() as u64);
+                    }
+                    let parsed = parse_data_frame(
+                        body,
+                        &self.name,
+                        &mut inbound.expected,
+                        &self.shared,
+                        inbound.version,
+                    );
+                    match parsed {
+                        Ok(decoded) => {
+                            if matches!(decoded, Decoded::Finished) {
+                                // Publish the final offset as the resume
+                                // floor first, so a restarted producer
+                                // reconnecting to this finished partition
+                                // replays nothing. The writer half stays
+                                // in the slot for acks.
+                                slot.resume.store(inbound.expected, Ordering::Release);
+                                slot.finished.store(true, Ordering::Release);
+                                handoff.conn = None;
+                            }
+                            break Ok(Some(decoded));
+                        }
+                        // An in-frame protocol violation (offset gap,
+                        // undeclared stream, FINISH miscount): the producer
+                        // is *wrong*, not merely gone — always poison,
+                        // restarts or not.
+                        Err(e) => {
+                            inbound.frames.conn.shutdown();
+                            handoff.conn = None;
+                            break Err(e.to_string());
+                        }
+                    }
+                }
+                None => break Ok(None),
+                // Transport-level death — clean close or a failed read.
+                // With restarts tolerated the partition is released for
+                // the producer's next incarnation (offset continuity is
+                // still enforced: its frames must resume at `expected`)
+                // and the poll waits on for it; otherwise the pipeline
+                // poisons.
+                Some(FrameRead::Eof | FrameRead::Death(_)) if self.shared.allow_restart => {
+                    let expected = inbound.expected;
+                    inbound.frames.conn.shutdown();
+                    handoff.conn = None;
+                    slot.release_for_restart(expected);
+                    wait = deadline.saturating_duration_since(Instant::now());
+                }
+                Some(FrameRead::Eof) => {
+                    let msg = format!(
+                        "{}: producer disconnected before FINISH (offset {})",
+                        self.name, inbound.expected
+                    );
+                    handoff.conn = None;
+                    break Err(msg);
+                }
+                // Corrupt bytes always poison: releasing instead would let
+                // a deterministic producer replay the same bad frame
+                // forever, stalling the pipeline with zero diagnostics.
+                Some(FrameRead::Death(msg) | FrameRead::Corrupt(msg)) => {
+                    inbound.frames.conn.shutdown();
+                    handoff.conn = None;
+                    break Err(msg);
+                }
+            }
+        };
+        drop(handoff);
+        outcome.map_err(|msg| self.fail(msg))
     }
 }
 
@@ -1679,7 +2106,7 @@ impl Source for NetPartition {
     fn poll_batch(&mut self, max_events: usize) -> Result<SourceBatch> {
         // First poll: the driver is running, so any checkpoint restore
         // (seek) already happened — release the handshake replies.
-        {
+        if !self.released {
             let (lock, cvar) = &self.shared.ready;
             let mut ready = lock
                 .lock()
@@ -1688,6 +2115,7 @@ impl Source for NetPartition {
                 *ready = true;
                 cvar.notify_all();
             }
+            self.released = true;
         }
         self.check_failures()?;
         if self.finished && self.pending.is_empty() {
@@ -1695,8 +2123,8 @@ impl Source for NetPartition {
         }
         let mut received = false;
         if self.pending.is_empty() {
-            match self.rx.recv_timeout(self.poll_wait) {
-                Ok(Decoded::Batch {
+            match self.next_decoded()? {
+                Some(Decoded::Batch {
                     events,
                     watermark,
                     trace,
@@ -1707,7 +2135,7 @@ impl Source for NetPartition {
                     self.last_heard = Some(Instant::now());
                     received = true;
                 }
-                Ok(Decoded::Keepalive { watermark }) => {
+                Some(Decoded::Keepalive { watermark }) => {
                     // Proof of life; a v2 keepalive may also restate the
                     // producer's watermark (duplicates are absorbed by
                     // the driver's monotone ledger).
@@ -1716,22 +2144,13 @@ impl Source for NetPartition {
                     batch.watermark = watermark;
                     return Ok(batch);
                 }
-                Ok(Decoded::Finished) => {
+                Some(Decoded::Finished) => {
                     self.finished = true;
                     self.last_heard = Some(Instant::now());
                 }
-                Ok(Decoded::Failed(msg)) => {
-                    self.failed = Some(msg.clone());
-                    return Err(Error::exec(msg));
-                }
-                Err(RecvTimeoutError::Timeout) => {
+                None => {
                     self.check_silence()?;
                     return Ok(SourceBatch::empty(SourceStatus::Idle));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let msg = format!("{}: reader threads are gone", self.name);
-                    self.failed = Some(msg.clone());
-                    return Err(Error::exec(msg));
                 }
             }
         }
@@ -1796,25 +2215,7 @@ impl PartitionedNetSource {
             .bind()
             .map_err(|e| Error::exec(format!("{name}: cannot bind: {e}")))?;
         let local = listener.local_addr(&addr);
-        let mut parts = Vec::with_capacity(partitions);
-        let mut receivers = Vec::with_capacity(partitions);
-        for _ in 0..partitions {
-            // Bounded: a producer far ahead of the consumer blocks its
-            // reader thread here, pushing backpressure into the socket
-            // instead of buffering the whole stream in memory.
-            let (tx, rx) = bounded::<Decoded>(256);
-            parts.push(PartSlot {
-                tx,
-                writer: Mutex::new(None),
-                claimed: AtomicBool::new(false),
-                resume: AtomicU64::new(0),
-                finished: AtomicBool::new(false),
-                frames: AtomicU64::new(0),
-                bytes: AtomicU64::new(0),
-                connections: AtomicU64::new(0),
-            });
-            receivers.push(rx);
-        }
+        let parts = (0..partitions).map(|_| PartSlot::new()).collect();
         let shared = Arc::new(ListenerShared {
             name: name.clone(),
             streams: streams.clone(),
@@ -1825,14 +2226,12 @@ impl PartitionedNetSource {
             shutdown: AtomicBool::new(false),
         });
         spawn_acceptor(listener, shared.clone());
-        let partitions: Vec<NetPartition> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(p, rx)| NetPartition {
+        let partitions: Vec<NetPartition> = (0..partitions)
+            .map(|p| NetPartition {
                 name: format!("{name}#{p}"),
                 streams: streams.clone(),
                 slot: p,
-                rx,
+                released: false,
                 shared: shared.clone(),
                 pending: VecDeque::new(),
                 pending_wm: None,
@@ -1954,8 +2353,12 @@ impl Drop for PartitionedNetSource {
         self.shared.shutdown.store(true, Ordering::Release);
         // Wake handshake threads parked on the ready condvar...
         self.shared.ready.1.notify_all();
-        // ...and unblock reader threads parked on their sockets.
+        // ...and close every producer connection, so producers see the
+        // consumer gone rather than a silent one.
         for slot in &self.shared.parts {
+            if let Some(inbound) = slot.handoff().conn.take() {
+                inbound.frames.conn.shutdown();
+            }
             if let Some(conn) = slot
                 .writer
                 .lock()
@@ -2012,9 +2415,10 @@ fn spawn_acceptor(listener: NetListener, shared: Arc<ListenerShared>) {
     });
 }
 
-/// Handshake + frame pump for one accepted connection. Protocol errors
-/// before a partition is claimed go to the source-level failure slot;
-/// after that they poison the partition's channel. The one exception: a
+/// Handshake for one accepted connection, which is then handed to the
+/// partition it claimed. Protocol errors before a partition is claimed go
+/// to the source-level failure slot; after that they poison the
+/// partition. The one exception: a
 /// peer that closes cleanly without sending a byte (port scanner, health
 /// probe) is dropped silently — it never spoke the protocol, so it
 /// cannot have violated it.
@@ -2106,9 +2510,9 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
         && !(shared.allow_restart && slot.finished.load(Ordering::Acquire))
     {
         // With restarts tolerated, the replacement producer may connect
-        // before the dead connection's reader has released the claim:
-        // give the release a bounded window before calling it a genuine
-        // double-claim.
+        // before the dead connection's claim is released: release it
+        // here once its close is visible, and give that a bounded window
+        // before calling it a genuine double-claim.
         let deadline = Instant::now() + StdDuration::from_secs(10);
         let acquired = shared.allow_restart
             && loop {
@@ -2122,6 +2526,7 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
                 if shared.allow_restart && slot.finished.load(Ordering::Acquire) {
                     break true; // FINISH raced the wait: serve (above)
                 }
+                slot.supersede_dead();
                 if Instant::now() >= deadline {
                     break false;
                 }
@@ -2156,20 +2561,6 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
         }
     }
     let resume = slot.resume.load(Ordering::Acquire);
-    let tx = slot.tx.clone();
-    // Release this connection's claim so a restarted producer can take
-    // over mid-stream: record where delivery stopped (the handshake
-    // floor for the next connection), drop the ack writer, then free the
-    // claim — strictly in that order, since a new connection may claim
-    // the instant the flag drops and must read the updated resume.
-    let release_for_restart = |expected: u64| {
-        slot.resume.store(expected, Ordering::Release);
-        *slot
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-        slot.claimed.store(false, Ordering::Release);
-    };
     match conn.try_clone() {
         Ok(writer) => {
             *slot
@@ -2179,9 +2570,9 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
         }
         Err(e) => {
             if shared.allow_restart {
-                release_for_restart(resume);
+                slot.release_for_restart(resume);
             } else {
-                let _ = tx.send(Decoded::Failed(format!("{context}: {e}")));
+                slot.hand_over(|h| h.failed = Some(format!("{context}: {e}")));
             }
             conn.shutdown();
             return;
@@ -2195,92 +2586,25 @@ fn serve_connection(mut conn: NetConn, shared: Arc<ListenerShared>) {
         // delivered on this connection, so with restarts tolerated the
         // partition is simply released for its next incarnation.
         if shared.allow_restart {
-            release_for_restart(resume);
+            slot.release_for_restart(resume);
         } else {
-            let _ = tx.send(Decoded::Failed(e.to_string()));
+            slot.hand_over(|h| h.failed = Some(e.to_string()));
         }
         conn.shutdown();
         return;
     }
-    let _ = conn.set_read_timeout(None);
-
-    let context = format!("{context}#{partition}");
     let reconnect = slot.connections.fetch_add(1, Ordering::AcqRel) > 0;
     if reconnect && observe::enabled() {
-        observe::counter(&format!("{context}.reconnects"), 1);
+        observe::counter(&format!("{context}#{partition}.reconnects"), 1);
     }
-    let mut expected = resume;
-    loop {
-        match read_frame_raw(&mut conn, &context) {
-            FrameRead::Frame(body) => {
-                slot.frames.fetch_add(1, Ordering::AcqRel);
-                slot.bytes.fetch_add(body.len() as u64, Ordering::AcqRel);
-                if observe::enabled() {
-                    observe::counter(&format!("{context}.frames"), 1);
-                    observe::counter(&format!("{context}.bytes"), body.len() as u64);
-                }
-                match parse_data_frame(&body, &context, &mut expected, &shared, version) {
-                    Ok(Some(decoded)) => {
-                        let finished = matches!(decoded, Decoded::Finished);
-                        if tx.send(decoded).is_err() {
-                            return; // source dropped
-                        }
-                        if finished {
-                            // Publish the final offset as the resume floor
-                            // first, so a restarted producer reconnecting to
-                            // this finished partition replays nothing.
-                            slot.resume.store(expected, Ordering::Release);
-                            slot.finished.store(true, Ordering::Release);
-                            return; // writer half stays in the slot for acks
-                        }
-                    }
-                    Ok(None) => {}
-                    // An in-frame protocol violation (offset gap, undeclared
-                    // stream, FINISH miscount): the producer is *wrong*, not
-                    // merely gone — always poison, restarts or not.
-                    Err(e) => {
-                        let _ = tx.send(Decoded::Failed(e.to_string()));
-                        conn.shutdown();
-                        return;
-                    }
-                }
-            }
-            // Transport-level death — clean close or a failed read. With
-            // restarts tolerated the partition is released for the
-            // producer's next incarnation (offset continuity is still
-            // enforced: its frames must resume at `expected`); otherwise
-            // the pipeline poisons.
-            FrameRead::Eof => {
-                if shared.allow_restart {
-                    release_for_restart(expected);
-                    return;
-                }
-                let _ = tx.send(Decoded::Failed(format!(
-                    "{context}: producer disconnected before FINISH \
-                     (offset {expected})"
-                )));
-                return;
-            }
-            FrameRead::Death(msg) => {
-                if shared.allow_restart {
-                    conn.shutdown();
-                    release_for_restart(expected);
-                    return;
-                }
-                let _ = tx.send(Decoded::Failed(msg));
-                conn.shutdown();
-                return;
-            }
-            // Corrupt bytes always poison: releasing instead would let a
-            // deterministic producer replay the same bad frame forever,
-            // stalling the pipeline with zero diagnostics.
-            FrameRead::Corrupt(msg) => {
-                let _ = tx.send(Decoded::Failed(msg));
-                conn.shutdown();
-                return;
-            }
-        }
-    }
+    // From here on the partition's poller reads the connection; this
+    // thread is done.
+    let inbound = Inbound {
+        frames: FrameStream::new(conn),
+        version,
+        expected: resume,
+    };
+    slot.hand_over(|h| h.conn = Some(inbound));
 }
 
 fn parse_hello(body: &[u8]) -> Result<(usize, Vec<String>)> {
@@ -2305,18 +2629,17 @@ fn parse_hello(body: &[u8]) -> Result<(usize, Vec<String>)> {
     Ok((partition, streams))
 }
 
-/// Decode a post-handshake frame into a channel message, enforcing offset
-/// continuity. `Ok(None)` means "nothing to forward". `version` is the
-/// wire version this connection's preamble announced: version-2 bodies
-/// carry trailing sections (trace context on `BATCH`, watermark on
-/// `KEEPALIVE`) that version-1 bodies lack.
+/// Decode a post-handshake frame, enforcing offset continuity. `version`
+/// is the wire version this connection's preamble announced: version-2
+/// bodies carry trailing sections (trace context on `BATCH`, watermark
+/// on `KEEPALIVE`) that version-1 bodies lack.
 fn parse_data_frame(
     body: &[u8],
     context: &str,
     expected: &mut u64,
     shared: &ListenerShared,
     version: u16,
-) -> Result<Option<Decoded>> {
+) -> Result<Decoded> {
     let mut reader = FrameReader::new(body);
     match reader.u8()? {
         KIND_BATCH => {
@@ -2356,11 +2679,11 @@ fn parse_data_frame(
             };
             reader.done()?;
             *expected += count as u64;
-            Ok(Some(Decoded::Batch {
+            Ok(Decoded::Batch {
                 events,
                 watermark: has_wm.then_some(Ts(wm_millis)),
                 trace,
-            }))
+            })
         }
         KIND_FINISH => {
             let final_offset = reader.u64()?;
@@ -2371,7 +2694,7 @@ fn parse_data_frame(
                      counted {expected}"
                 )));
             }
-            Ok(Some(Decoded::Finished))
+            Ok(Decoded::Finished)
         }
         KIND_KEEPALIVE => {
             // Proof of life: the payload (the producer's send cursor) is
@@ -2386,7 +2709,7 @@ fn parse_data_frame(
                 None
             };
             reader.done()?;
-            Ok(Some(Decoded::Keepalive { watermark }))
+            Ok(Decoded::Keepalive { watermark })
         }
         kind => Err(Error::exec(format!(
             "{context}: unexpected frame kind {kind} after handshake"
@@ -2876,6 +3199,128 @@ mod tests {
         assert!(err.contains("disconnected mid-frame"), "{err}");
     }
 
+    /// A `BATCH` frame of `events` one-column events from `base`, as it
+    /// goes on the wire: `len | body | crc`.
+    fn batch_wire(base: u64, events: &[i64]) -> Vec<u8> {
+        let mut body = vec![KIND_BATCH];
+        put_u64(&mut body, base);
+        body.push(0);
+        put_i64(&mut body, 0);
+        put_u32(&mut body, events.len() as u32);
+        for &i in events {
+            put_event(
+                &mut body,
+                &WireEvent {
+                    stream: 0,
+                    ptime: Ts(i),
+                    diff: 1,
+                    row: row!(i),
+                },
+            );
+        }
+        body.push(0);
+        put_u64(&mut body, 0);
+        let mut wire = Vec::new();
+        put_u32(&mut wire, body.len() as u32);
+        wire.extend_from_slice(&body);
+        put_u32(&mut wire, crc32(&body));
+        wire
+    }
+
+    /// A source whose polls wait 50 ms, so a producer's 200 ms gaps span
+    /// several polls.
+    fn short_wait_source() -> PartitionedNetSource {
+        PartitionedNetSource::bind(
+            NetAddr::tcp("127.0.0.1:0"),
+            vec!["S".to_string()],
+            1,
+            NetConfig {
+                poll_wait: StdDuration::from_millis(50),
+                ..test_config()
+            },
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn frame_cut_by_poll_timeouts_resumes_at_the_next_poll() {
+        // A frame arrives in pieces (the length prefix itself split),
+        // with gaps longer than poll_wait between them: the polls that
+        // time out on a partial frame report idle and keep its bytes, and
+        // the frame's events arrive exactly once when it completes.
+        let mut source = short_wait_source();
+        let addr = source.local_addr();
+        let written = Arc::new(AtomicU64::new(0));
+        let pieces_written = written.clone();
+        let client = std::thread::spawn(move || {
+            let mut conn = raw_handshake(&addr, &["S"]);
+            let wire = batch_wire(0, &[10, 11, 12]);
+            for piece in [&wire[..2], &wire[2..9], &wire[9..]] {
+                std::thread::sleep(StdDuration::from_millis(200));
+                conn.write_all(piece).unwrap();
+                pieces_written.fetch_add(1, Ordering::AcqRel);
+            }
+            conn.write_all(&batch_wire(3, &[13])).unwrap();
+            let mut body = vec![KIND_FINISH];
+            put_u64(&mut body, 4);
+            write_frame(&mut conn, "split client", &body).unwrap();
+        });
+        let mut idle_mid_frame = 0;
+        let mut events = Vec::new();
+        for _ in 0..400 {
+            let before = written.load(Ordering::Acquire);
+            let batch = source.poll_partition(0, 16).unwrap();
+            if batch.status == SourceStatus::Idle && (1..3).contains(&before) {
+                assert!(batch.events.is_empty());
+                idle_mid_frame += 1;
+            }
+            if !batch.events.is_empty() {
+                let after = written.load(Ordering::Acquire);
+                events.push((after, source.offset(0), batch.events));
+            }
+            if batch.status == SourceStatus::Finished {
+                break;
+            }
+        }
+        client.join().unwrap();
+        assert!(idle_mid_frame >= 2, "polls timed out mid-frame");
+        assert_eq!(events.len(), 2, "one delivery per frame");
+        let (pieces, offset, first) = &events[0];
+        assert_eq!(*pieces, 3, "delivered only once the frame was whole");
+        assert_eq!(*offset, 3);
+        let values: Vec<&Row> = first.iter().map(|e| &e.change.row).collect();
+        assert_eq!(values, [&row!(10i64), &row!(11i64), &row!(12i64)]);
+        assert_eq!(events[1].1, 4);
+        assert_eq!(events[1].2[0].change.row, row!(13i64));
+    }
+
+    #[test]
+    fn close_after_a_timed_out_partial_frame_is_a_mid_frame_disconnect() {
+        let mut source = short_wait_source();
+        let addr = source.local_addr();
+        let client = std::thread::spawn(move || {
+            let mut conn = raw_handshake(&addr, &["S"]);
+            let wire = batch_wire(0, &[1, 2]);
+            conn.write_all(&wire[..wire.len() / 2]).unwrap();
+            std::thread::sleep(StdDuration::from_millis(200));
+            conn.shutdown();
+        });
+        let mut idle = 0;
+        let err = loop {
+            match source.poll_partition(0, 16) {
+                Ok(batch) => {
+                    assert!(batch.events.is_empty());
+                    idle += 1;
+                    assert!(idle < 400, "the close never surfaced");
+                }
+                Err(e) => break e.to_string(),
+            }
+        };
+        client.join().unwrap();
+        assert!(idle >= 2, "polls timed out on the partial frame first");
+        assert!(err.contains("disconnected mid-frame"), "{err}");
+    }
+
     #[test]
     fn clean_disconnect_before_finish_surfaces_as_error() {
         let mut source = tcp_source(&["S"], 1);
@@ -3339,6 +3784,75 @@ mod tests {
     }
 
     #[test]
+    fn restarted_producer_takes_over_a_dead_claim_the_driver_is_not_polling() {
+        // Partition 1's producer dies with a frame the consumer has not
+        // decoded yet. Its restart handshakes on partition 1 before it
+        // feeds partition 0, while the consumer polls only partition 0:
+        // the handshake must find the dead connection itself instead of
+        // waiting for a poll of partition 1, and the undecoded frame is
+        // re-sent by the restart exactly once.
+        let mut source = PartitionedNetSource::bind(
+            NetAddr::tcp("127.0.0.1:0"),
+            vec!["S".to_string()],
+            2,
+            NetConfig {
+                producer_restarts: true,
+                ..test_config()
+            },
+        )
+        .unwrap();
+        let addr = source.local_addr();
+        let first = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut p1 = NetPublisher::new(addr, 1, vec!["S".to_string()], test_config());
+                for i in 0..8i64 {
+                    p1.insert(0, Ts(i), row!(i)).unwrap();
+                }
+                // Dropped with two frames sent: the crash.
+            })
+        };
+        let mut events1 = Vec::new();
+        while events1.len() < 4 {
+            events1.extend(source.poll_partition(1, 16).unwrap().events);
+        }
+        first.join().unwrap();
+        let second = std::thread::spawn(move || {
+            let mut p1 = NetPublisher::new(addr.clone(), 1, vec!["S".to_string()], test_config());
+            for i in 0..12i64 {
+                p1.insert(0, Ts(i), row!(i)).unwrap();
+            }
+            p1.finish().unwrap();
+            let mut p0 = NetPublisher::new(addr, 0, vec!["S".to_string()], test_config());
+            p0.insert(0, Ts(0), row!(0i64)).unwrap();
+            p0.finish().unwrap();
+        });
+        let mut events0 = 0;
+        for _ in 0..100 {
+            let batch = source.poll_partition(0, 16).unwrap();
+            events0 += batch.events.len();
+            if batch.status == SourceStatus::Finished {
+                break;
+            }
+        }
+        assert_eq!(events0, 1, "partition 0 finished without polling 1");
+        for _ in 0..100 {
+            let batch = source.poll_partition(1, 16).unwrap();
+            events1.extend(batch.events);
+            if batch.status == SourceStatus::Finished {
+                break;
+            }
+        }
+        second.join().unwrap();
+        let values: Vec<i64> = events1
+            .iter()
+            .map(|e| e.change.row.value(0).unwrap().as_int().unwrap())
+            .collect();
+        assert_eq!(values, (0..12).collect::<Vec<i64>>());
+        assert_eq!(source.offset(1), 12);
+    }
+
+    #[test]
     fn restarted_producer_reconnecting_to_finished_partition_is_served() {
         // A producer FINISHes partition 0 but dies with partition 1
         // mid-stream; its restarted incarnation re-publishes its whole
@@ -3471,7 +3985,7 @@ mod tests {
             let probe = addr.connect().unwrap();
             probe.shutdown();
         }
-        // Give the reader thread time to observe the clean close.
+        // Give the handshake thread time to observe the clean close.
         std::thread::sleep(StdDuration::from_millis(50));
         let producer = std::thread::spawn(move || {
             let mut publisher = NetPublisher::new(addr, 0, vec!["S".to_string()], test_config());

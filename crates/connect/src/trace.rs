@@ -309,7 +309,7 @@ mod tests {
             Ts(10),
             false,
             true,
-            onesql_core::connect::PipelineMetrics::default(),
+            &onesql_core::connect::PipelineMetrics::default(),
         );
         assert_eq!(
             source.poll_batch(16).unwrap().status,

@@ -719,7 +719,7 @@ impl BatchController {
 }
 
 /// Per-source accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SourceMetrics {
     /// Connector instance name.
     pub name: String,
@@ -734,6 +734,39 @@ pub struct SourceMetrics {
     pub watermark: Watermark,
     /// Whether the source has finished.
     pub finished: bool,
+}
+
+impl Clone for SourceMetrics {
+    fn clone(&self) -> SourceMetrics {
+        SourceMetrics {
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses this value's `name` buffer.
+    fn clone_from(&mut self, source: &SourceMetrics) {
+        let mut name = std::mem::take(&mut self.name);
+        name.clone_from(&source.name);
+        *self = SourceMetrics { name, ..*source };
+    }
+}
+
+/// Set `sources[i]` to `fresh` (built with an empty `name`) named `name`,
+/// or append it when `i` is one past the end. An existing entry keeps its
+/// name buffer: how both drivers refresh their per-source metrics every
+/// round without allocating.
+pub(crate) fn refresh_source(
+    sources: &mut Vec<SourceMetrics>,
+    i: usize,
+    name: &str,
+    fresh: SourceMetrics,
+) {
+    match sources.get_mut(i) {
+        Some(entry) => entry.clone_from(&fresh),
+        None => sources.push(fresh),
+    }
+    sources[i].name.push_str(name);
 }
 
 /// The error for a `retain_table()` call that comes after the pipeline
@@ -762,7 +795,7 @@ pub fn change_bytes(change: &Change) -> u64 {
 
 /// Pipeline-wide accounting, readable at any time via
 /// [`PipelineDriver::metrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PipelineMetrics {
     /// Total events fed into the query.
     pub events_in: u64,
@@ -850,6 +883,31 @@ impl Default for PipelineMetrics {
             output_watermark: Watermark::MIN,
             watermark_provenance: Vec::new(),
         }
+    }
+}
+
+impl Clone for PipelineMetrics {
+    fn clone(&self) -> PipelineMetrics {
+        PipelineMetrics {
+            sources: self.sources.clone(),
+            watermark_provenance: self.watermark_provenance.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses this value's `sources` and `watermark_provenance` vectors
+    /// and their strings: how the metrics hub refreshes a published
+    /// snapshot every round without allocating.
+    fn clone_from(&mut self, source: &PipelineMetrics) {
+        let mut sources = std::mem::take(&mut self.sources);
+        let mut watermark_provenance = std::mem::take(&mut self.watermark_provenance);
+        sources.clone_from(&source.sources);
+        watermark_provenance.clone_from(&source.watermark_provenance);
+        *self = PipelineMetrics {
+            sources,
+            watermark_provenance,
+            ..*source
+        };
     }
 }
 
@@ -981,7 +1039,7 @@ impl PipelineMetrics {
 /// Why a stream's watermark is where it is: the feeder (a source, or one
 /// source partition) currently holding the minimum, and when it last
 /// produced an event — the answer to "why is my watermark stuck".
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct WatermarkProvenance {
     /// Lowercased stream name.
     pub stream: String,
@@ -995,6 +1053,29 @@ pub struct WatermarkProvenance {
     /// Processing time of the last event the holder produced, or `None`
     /// if it has produced nothing yet.
     pub holder_last_event: Option<Ts>,
+}
+
+impl Clone for WatermarkProvenance {
+    fn clone(&self) -> WatermarkProvenance {
+        WatermarkProvenance {
+            stream: self.stream.clone(),
+            holder: self.holder.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses this value's `stream` and `holder` buffers.
+    fn clone_from(&mut self, source: &WatermarkProvenance) {
+        let mut stream = std::mem::take(&mut self.stream);
+        let mut holder = std::mem::take(&mut self.holder);
+        stream.clone_from(&source.stream);
+        holder.clone_from(&source.holder);
+        *self = WatermarkProvenance {
+            stream,
+            holder,
+            ..*source
+        };
+    }
 }
 
 /// Combines per-feeder watermarks into per-stream deliveries, the way
@@ -1098,24 +1179,37 @@ impl WatermarkLedger {
     /// currently holds the minimum (first on ties, so the answer is
     /// deterministic) and when it last produced an event.
     pub(crate) fn provenance(&self) -> Vec<WatermarkProvenance> {
-        self.streams
-            .iter()
-            .filter_map(|(stream, (_, ports))| {
-                let holder = *ports.iter().min_by_key(|&&feeder| self.feeders[feeder])?;
-                let watermark = ports
-                    .iter()
-                    .map(|&feeder| self.feeders[feeder])
-                    .min()
-                    .unwrap_or(Watermark::MIN);
-                Some(WatermarkProvenance {
-                    stream: stream.clone(),
-                    watermark,
-                    holder: self.labels[holder].clone(),
-                    holder_watermark: self.feeders[holder],
-                    holder_last_event: self.last_events[holder],
-                })
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.provenance_into(&mut out);
+        out
+    }
+
+    /// [`WatermarkLedger::provenance`], written over `out` in place so a
+    /// per-round refresh reuses its entries' strings.
+    pub(crate) fn provenance_into(&self, out: &mut Vec<WatermarkProvenance>) {
+        let mut len = 0;
+        for (stream, (_, ports)) in &self.streams {
+            let Some(&holder) = ports.iter().min_by_key(|&&feeder| self.feeders[feeder]) else {
+                continue;
+            };
+            let fresh = WatermarkProvenance {
+                stream: String::new(),
+                // The holder is the first minimum, so its watermark is
+                // the stream's combined one.
+                watermark: self.feeders[holder],
+                holder: String::new(),
+                holder_watermark: self.feeders[holder],
+                holder_last_event: self.last_events[holder],
+            };
+            match out.get_mut(len) {
+                Some(entry) => entry.clone_from(&fresh),
+                None => out.push(fresh),
+            }
+            out[len].stream.push_str(stream);
+            out[len].holder.push_str(&self.labels[holder]);
+            len += 1;
+        }
+        out.truncate(len);
     }
 }
 
@@ -1229,13 +1323,7 @@ impl PipelineDriver {
         }
         self.refresh_metrics();
         let label = self.label.as_deref().unwrap_or_default();
-        observe::hub().publish(
-            label,
-            self.clock,
-            false,
-            self.finished,
-            self.metrics.clone(),
-        );
+        observe::hub().publish(label, self.clock, false, self.finished, &self.metrics);
     }
 
     /// Replace the driver configuration.
@@ -1326,22 +1414,23 @@ impl PipelineDriver {
     }
 
     fn refresh_metrics(&mut self) {
-        self.metrics.sources = self
-            .sources
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SourceMetrics {
-                name: s.source.name().to_string(),
+        let sources = &mut self.metrics.sources;
+        sources.truncate(self.sources.len());
+        for (i, s) in self.sources.iter().enumerate() {
+            let fresh = SourceMetrics {
+                name: String::new(),
                 events: s.events,
                 bytes: s.bytes,
                 non_empty_polls: s.non_empty_polls,
                 watermark: self.ledger.feeder(i),
                 finished: s.finished,
-            })
-            .collect();
+            };
+            refresh_source(sources, i, s.source.name(), fresh);
+        }
         self.metrics.input_watermark = self.ledger.input_watermark();
         self.metrics.output_watermark = self.query.output_watermark();
-        self.metrics.watermark_provenance = self.ledger.provenance();
+        self.ledger
+            .provenance_into(&mut self.metrics.watermark_provenance);
         self.metrics.changelog_retained = self.query.changelog().len() as u64;
     }
 
@@ -1481,7 +1570,7 @@ impl PipelineDriver {
             self.metrics.idle_rounds += 1;
         }
         if self.all_sources_finished() {
-            self.finish()?;
+            self.complete()?;
         } else {
             self.metrics.batch_size = self.controller.observe(PipelineMetrics::lag_between(
                 self.ledger.input_watermark(),
@@ -1630,6 +1719,14 @@ impl PipelineDriver {
         if self.finished {
             return Ok(());
         }
+        self.complete()?;
+        self.publish_snapshot();
+        Ok(())
+    }
+
+    /// [`PipelineDriver::finish`] without the hub snapshot: a round that
+    /// finishes the pipeline publishes once, at the end of the round.
+    fn complete(&mut self) -> Result<()> {
         self.finished = true;
         if observe::enabled() {
             observe::set_thread_pipeline(self.label.as_deref().unwrap_or(""));
@@ -1646,7 +1743,6 @@ impl PipelineDriver {
         }
         observe::sample("driver.finish_micros", span.micros());
         self.refresh_metrics();
-        self.publish_snapshot();
         Ok(())
     }
 

@@ -769,7 +769,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// never panics for any `u64` input and merging is commutative and
 /// associative (order-independent) as long as no saturation occurs — and
 /// saturation itself is absorbing, so any merge order still agrees.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; HISTOGRAM_BUCKETS],
     count: u64,
@@ -1005,14 +1005,17 @@ impl MetricsHub {
         }
     }
 
-    /// Publish (replace) the snapshot for `pipeline`.
+    /// Publish (replace) the snapshot for `pipeline`. A pipeline that
+    /// published before has its snapshot updated in place
+    /// ([`Clone::clone_from`]), so a driver publishing every round does
+    /// not allocate a fresh copy of its metrics each time.
     pub fn publish(
         &self,
         pipeline: &str,
         at: Ts,
         sharded: bool,
         finished: bool,
-        metrics: PipelineMetrics,
+        metrics: &PipelineMetrics,
     ) {
         let mut inner = self
             .inner
@@ -1020,17 +1023,28 @@ impl MetricsHub {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.next_seq += 1;
         let seq = inner.next_seq;
-        inner.pipelines.insert(
-            pipeline.to_string(),
-            PipelineSnapshot {
-                pipeline: pipeline.to_string(),
-                at,
-                seq,
-                sharded,
-                finished,
-                metrics,
-            },
-        );
+        match inner.pipelines.get_mut(pipeline) {
+            Some(snapshot) => {
+                snapshot.at = at;
+                snapshot.seq = seq;
+                snapshot.sharded = sharded;
+                snapshot.finished = finished;
+                snapshot.metrics.clone_from(metrics);
+            }
+            None => {
+                inner.pipelines.insert(
+                    pipeline.to_string(),
+                    PipelineSnapshot {
+                        pipeline: pipeline.to_string(),
+                        at,
+                        seq,
+                        sharded,
+                        finished,
+                        metrics: metrics.clone(),
+                    },
+                );
+            }
+        }
     }
 
     /// The latest snapshot for `pipeline`, if it has ever published.
@@ -1171,7 +1185,7 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.sum(), u64::MAX); // saturated
-        let mut other = h.clone();
+        let mut other = h;
         other.merge(&h);
         assert_eq!(other.count(), 6);
     }
@@ -1212,15 +1226,15 @@ mod tests {
             events_in: 5,
             ..PipelineMetrics::default()
         };
-        hub.publish("p1", Ts::from_millis(10), false, false, m.clone());
+        hub.publish("p1", Ts::from_millis(10), false, false, &m);
         m.events_in = 9;
-        hub.publish("p1", Ts::from_millis(20), false, true, m);
+        hub.publish("p1", Ts::from_millis(20), false, true, &m);
         hub.publish(
             "p2",
             Ts::from_millis(5),
             true,
             false,
-            PipelineMetrics::default(),
+            &PipelineMetrics::default(),
         );
 
         let p1 = hub.latest("p1").unwrap();

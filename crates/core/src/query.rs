@@ -103,10 +103,8 @@ impl RunningQuery {
         Ok(())
     }
 
-    fn stream_schema(&self, table: &str) -> Result<SchemaRef> {
-        self.input_schemas
-            .get(&table.to_ascii_lowercase())
-            .cloned()
+    fn stream_schema(&self, table: &str) -> Result<&SchemaRef> {
+        get_ignore_case(&self.input_schemas, table)
             .ok_or_else(|| Error::catalog(format!("unknown stream '{table}'")))
     }
 
@@ -122,17 +120,16 @@ impl RunningQuery {
 
     /// Apply an arbitrary change.
     pub fn change(&mut self, table: &str, ptime: Ts, change: Change) -> Result<()> {
-        let schema = self.stream_schema(table)?;
-        validate_row(&schema, &change.row)?;
-        let key = table.to_ascii_lowercase();
+        validate_row(self.stream_schema(table)?, &change.row)?;
         // Drive the optional watermark generator from the event timestamp.
-        let generated = if let Some((col, generator)) = self.generators.get_mut(&key) {
-            let ts = change.row.value(*col)?.as_ts()?;
-            generator.on_event(ts);
-            Some(generator.current())
-        } else {
-            None
-        };
+        let generated =
+            if let Some((col, generator)) = get_ignore_case_mut(&mut self.generators, table) {
+                let ts = change.row.value(*col)?.as_ts()?;
+                generator.on_event(ts);
+                Some(generator.current())
+            } else {
+                None
+            };
         self.executor.feed(table, ptime, Element::Data(change))?;
         if let Some(wm) = generated {
             if wm != Watermark::MIN {
@@ -148,8 +145,7 @@ impl RunningQuery {
     /// watermark generator on the stream (a generator may emit a watermark
     /// after *every* event, which a whole-batch feed cannot interleave).
     pub fn vectorizes(&self, table: &str) -> bool {
-        !self.generators.contains_key(&table.to_ascii_lowercase())
-            && self.executor.supports_batches(table)
+        get_ignore_case(&self.generators, table).is_none() && self.executor.supports_batches(table)
     }
 
     /// Apply a columnar run of changes, each at its own processing time.
@@ -169,8 +165,7 @@ impl RunningQuery {
             }
             return Ok(());
         }
-        let schema = self.stream_schema(table)?;
-        match first_invalid_row(&schema, batch) {
+        match first_invalid_row(self.stream_schema(table)?, batch) {
             None => self.executor.feed_batch(table, batch),
             Some((k, err)) => {
                 // Per-row feeding would have fed rows [0, k) before the
@@ -383,6 +378,26 @@ impl RunningQuery {
     }
 }
 
+/// The entry of a map keyed by lowercased names for `name` in any case,
+/// found without allocating a lowercased copy of `name`.
+fn get_ignore_case<'a, V>(map: &'a BTreeMap<String, V>, name: &str) -> Option<&'a V> {
+    map.get(name).or_else(|| {
+        map.iter()
+            .find(|(key, _)| key.eq_ignore_ascii_case(name))
+            .map(|(_, value)| value)
+    })
+}
+
+/// [`get_ignore_case`], mutably.
+fn get_ignore_case_mut<'a, V>(map: &'a mut BTreeMap<String, V>, name: &str) -> Option<&'a mut V> {
+    if map.contains_key(name) {
+        return map.get_mut(name);
+    }
+    map.iter_mut()
+        .find(|(key, _)| key.eq_ignore_ascii_case(name))
+        .map(|(_, value)| value)
+}
+
 /// Columnar mirror of `validate_row`: find the first logical row the per-row
 /// validator would reject, and its exact error. Wholly clean typed columns
 /// are screened without materializing any row; only a batch that fails the
@@ -524,6 +539,40 @@ mod tests {
         };
         let s = q.table_string_at(Ts::MAX, Some(&fmt)).unwrap();
         assert!(s.contains("$2"), "{s}");
+    }
+
+    #[test]
+    fn stream_names_match_in_any_case() {
+        // Lookups skip allocating a lowercased name; every spelling of a
+        // registered stream must still reach the same stream.
+        let e = engine();
+        let mut q = e
+            .execute("SELECT item, price FROM Bid WHERE price > 1")
+            .unwrap();
+        assert!(q.vectorizes("BID") && q.vectorizes("bid") && q.vectorizes("bId"));
+        q.insert("BID", Ts(1), row!(Ts(1), 2i64, "A")).unwrap();
+        q.insert("bid", Ts(2), row!(Ts(2), 3i64, "B")).unwrap();
+        let batch =
+            ChangeBatch::from_changes(&[(Ts(3), Change::insert(row!(Ts(3), 4i64, "C")))]).unwrap();
+        q.change_batch("bId", &batch).unwrap();
+        q.watermark("BiD", Ts(4), Ts(3)).unwrap();
+        let mut rows = q.table().unwrap();
+        rows.sort();
+        assert_eq!(
+            rows,
+            vec![row!("A", 2i64), row!("B", 3i64), row!("C", 4i64)]
+        );
+        assert_eq!(q.output_watermark(), Watermark(Ts(3)));
+        // A generator set under one spelling governs every other one.
+        q.set_watermark_generator(
+            "BID",
+            Box::new(BoundedOutOfOrderness::new(Duration::from_millis(1))),
+        )
+        .unwrap();
+        assert!(!q.vectorizes("bid"));
+        q.insert("Bid", Ts(5), row!(Ts(10), 5i64, "D")).unwrap();
+        assert_eq!(q.output_watermark(), Watermark(Ts(9)));
+        assert!(q.insert("Nope", Ts(6), row!(Ts(6), 1i64, "E")).is_err());
     }
 
     #[test]

@@ -109,7 +109,7 @@
 
 use std::collections::VecDeque;
 
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 
 use onesql_exec::{StreamRenderer, StreamRow};
 use onesql_time::Watermark;
@@ -117,9 +117,9 @@ use onesql_tvr::{Change, ChangeBatch, TimedChange};
 use onesql_types::{Error, Result, Row, SchemaRef, Ts};
 
 use crate::connect::{
-    change_bytes, retain_too_late, BatchController, DriverConfig, PartitionedSource,
-    PipelineMetrics, SinglePartition, Sink, Source, SourceMetrics, SourceStatus, WatermarkLedger,
-    WatermarkProvenance,
+    change_bytes, refresh_source, retain_too_late, BatchController, DriverConfig,
+    PartitionedSource, PipelineMetrics, SinglePartition, Sink, Source, SourceMetrics, SourceStatus,
+    WatermarkLedger, WatermarkProvenance,
 };
 use crate::engine::Engine;
 use crate::history::{HistoryEvent, HistoryTap};
@@ -243,15 +243,10 @@ enum Cmd {
     Watermark(usize, Ts, Ts),
     /// All inputs complete: flush pending materialization.
     Finish(Ts),
-    /// Barrier: report new changelog entries and the output watermark.
-    Drain(Sender<Result<DrainReply>>),
-    /// Barrier: snapshot operator state.
-    Checkpoint(Sender<Result<onesql_state::Checkpoint>>),
-    /// Load operator state (fresh workers only).
-    Restore(onesql_state::Checkpoint, Sender<Result<()>>),
-    /// Barrier: report this worker's table view as of a past ptime
-    /// (`AS OF` probe — see [`ShardedPipelineDriver::table_at`]).
-    TableAt(Ts, Sender<Result<Vec<Row>>>),
+    /// A barrier (drain, checkpoint, restore, `AS OF` probe): run the
+    /// closure once every earlier command is processed; it sends its
+    /// answer back itself (see [`Worker::barrier`]).
+    Barrier(Box<dyn FnOnce(&mut WorkerState) + Send>),
 }
 
 /// One query worker: a shard of the operator state plus the cursors of
@@ -308,34 +303,28 @@ impl WorkerState {
                     }
                 }
             }
-            Cmd::Drain(reply) => {
-                let result = self.barrier(|state| {
-                    Ok(DrainReply {
-                        entries: state.query.take_emitted(),
-                        watermark: state.query.output_watermark(),
-                        retained: state.query.changelog().len(),
-                    })
-                });
-                let _ = reply.send(result);
-            }
-            Cmd::Checkpoint(reply) => {
-                let _ = reply.send(self.barrier(|state| state.query.checkpoint()));
-            }
-            Cmd::Restore(checkpoint, reply) => {
-                let _ = reply.send(self.query.restore(&checkpoint));
-            }
-            Cmd::TableAt(at, reply) => {
-                let _ = reply.send(self.barrier(|state| state.query.table_at(at)));
-            }
+            Cmd::Barrier(answer) => answer(self),
         }
     }
 
     /// Answer a barrier: the first failure if there was one, else `f`.
-    fn barrier<T>(&mut self, f: impl FnOnce(&mut WorkerState) -> Result<T>) -> Result<T> {
+    fn checked<T>(&mut self, f: impl FnOnce(&mut WorkerState) -> Result<T>) -> Result<T> {
         match &self.failure {
             Some(e) => Err(e.clone()),
             None => f(self),
         }
+    }
+
+    /// Drain barrier: the changelog entries produced since the previous
+    /// drain and the output watermark.
+    fn drain(&mut self) -> Result<DrainReply> {
+        self.checked(|state| {
+            Ok(DrainReply {
+                entries: state.query.take_emitted(),
+                watermark: state.query.output_watermark(),
+                retained: state.query.changelog().len(),
+            })
+        })
     }
 
     /// Feed one routed batch into the query.
@@ -414,6 +403,27 @@ impl Worker {
         }
     }
 
+    /// Run the barrier `answer` once every command sent before it is
+    /// processed. The inline worker answers by direct call, with no
+    /// channel; a worker thread replies through a one-shot channel,
+    /// awaited by [`Reply::wait`] so barriers to several workers overlap.
+    fn barrier<T: Send + 'static>(
+        &mut self,
+        answer: impl FnOnce(&mut WorkerState) -> Result<T> + Send + 'static,
+    ) -> Result<Reply<T>> {
+        match self {
+            Worker::Inline(state) => Ok(Reply::Ready(answer(state))),
+            Worker::Thread { tx, .. } => {
+                let (reply, rx) = bounded(1);
+                tx.send(Cmd::Barrier(Box::new(move |state| {
+                    let _ = reply.send(answer(state));
+                })))
+                .map_err(|_| Error::exec("pipeline worker terminated"))?;
+                Ok(Reply::Pending(rx))
+            }
+        }
+    }
+
     /// Stop the worker and hand back its query. A worker thread exits its
     /// receive loop once the command channel disconnects.
     fn join(self) -> Result<RunningQuery> {
@@ -425,6 +435,25 @@ impl Worker {
                     .join()
                     .map_err(|_| Error::exec("pipeline worker panicked"))
             }
+        }
+    }
+}
+
+/// A worker's answer to a barrier.
+enum Reply<T> {
+    /// Answered already (the inline worker).
+    Ready(Result<T>),
+    /// A worker thread's answer, still on its way.
+    Pending(Receiver<Result<T>>),
+}
+
+impl<T> Reply<T> {
+    fn wait(self) -> Result<T> {
+        match self {
+            Reply::Ready(answer) => answer,
+            Reply::Pending(rx) => rx
+                .recv()
+                .map_err(|_| Error::exec("pipeline worker terminated"))?,
         }
     }
 }
@@ -582,7 +611,7 @@ impl ShardedPipelineDriver {
         }
         self.refresh_metrics();
         let label = self.label.as_deref().unwrap_or_default();
-        observe::hub().publish(label, self.clock, true, self.finished, self.metrics.clone());
+        observe::hub().publish(label, self.clock, true, self.finished, &self.metrics);
     }
 
     /// Record that a durable checkpoint at `epoch` was persisted in
@@ -709,11 +738,11 @@ impl ShardedPipelineDriver {
     }
 
     fn refresh_metrics(&mut self) {
-        self.metrics.sources = self
-            .sources
-            .iter()
-            .map(|s| SourceMetrics {
-                name: s.source.name().to_string(),
+        let sources = &mut self.metrics.sources;
+        sources.truncate(self.sources.len());
+        for (i, s) in self.sources.iter().enumerate() {
+            let fresh = SourceMetrics {
+                name: String::new(),
                 events: s.parts.iter().map(|p| p.events).sum(),
                 bytes: s.parts.iter().map(|p| p.bytes).sum(),
                 non_empty_polls: s.non_empty_polls,
@@ -724,11 +753,13 @@ impl ShardedPipelineDriver {
                     .min()
                     .unwrap_or(Watermark::MIN),
                 finished: s.parts.iter().all(|p| p.finished),
-            })
-            .collect();
+            };
+            refresh_source(sources, i, s.source.name(), fresh);
+        }
         self.metrics.input_watermark = self.ledger.input_watermark();
         self.metrics.output_watermark = self.output_watermark;
-        self.metrics.watermark_provenance = self.ledger.provenance();
+        self.ledger
+            .provenance_into(&mut self.metrics.watermark_provenance);
     }
 
     /// Per-stream watermark provenance: which source partition holds each
@@ -923,7 +954,7 @@ impl ShardedPipelineDriver {
             .iter()
             .all(|s| s.parts.iter().all(|p| p.finished))
         {
-            self.finish()?;
+            self.complete()?;
         } else {
             // Backpressure signal choice: this driver has a real queue to
             // measure — the pending merge buffers, holding worker output
@@ -951,30 +982,26 @@ impl ShardedPipelineDriver {
         Ok(ingested)
     }
 
-    /// Scatter a barrier command to every worker, then gather the replies
-    /// in worker order. Sending to all before receiving from any is what
-    /// makes the barrier run in parallel across workers.
-    fn gather<T>(&mut self, make: impl Fn(usize, Sender<Result<T>>) -> Cmd) -> Result<Vec<T>> {
+    /// Scatter a barrier to every worker, then gather the answers in
+    /// worker order. Sending to all before waiting on any is what makes
+    /// the barrier run in parallel across worker threads.
+    fn gather<T, F>(&mut self, make: impl Fn(usize) -> F) -> Result<Vec<T>>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut WorkerState) -> Result<T> + Send + 'static,
+    {
         let mut replies = Vec::with_capacity(self.workers.len());
         for (w, worker) in self.workers.iter_mut().enumerate() {
-            let (tx, rx) = bounded(1);
-            worker.send(make(w, tx))?;
-            replies.push(rx);
+            replies.push(worker.barrier(make(w))?);
         }
-        replies
-            .into_iter()
-            .map(|rx| {
-                rx.recv()
-                    .map_err(|_| Error::exec("pipeline worker terminated"))?
-            })
-            .collect()
+        replies.into_iter().map(Reply::wait).collect()
     }
 
     /// Barrier: every worker reports its new changelog entries (into the
     /// per-worker pending buffers) and its output watermark. On return,
     /// every command sent so far has been fully processed.
     fn drain_workers(&mut self) -> Result<()> {
-        let replies = self.gather(|_, tx| Cmd::Drain(tx))?;
+        let replies = self.gather(|_| WorkerState::drain)?;
         let mut combined = Watermark::MAX;
         let mut retained = 0;
         for (w, reply) in replies.into_iter().enumerate() {
@@ -1057,6 +1084,14 @@ impl ShardedPipelineDriver {
         if self.finished {
             return Ok(());
         }
+        self.complete()?;
+        self.publish_snapshot();
+        Ok(())
+    }
+
+    /// [`ShardedPipelineDriver::finish`] without the hub snapshot: a round
+    /// that finishes the pipeline publishes once, at the end of the round.
+    fn complete(&mut self) -> Result<()> {
         if self.poisoned {
             return Err(Error::exec(
                 "pipeline is poisoned by an earlier failure; \
@@ -1070,7 +1105,6 @@ impl ShardedPipelineDriver {
                 if let Some(tap) = &self.tap {
                     tap.record(HistoryEvent::Finished);
                 }
-                self.publish_snapshot();
                 Ok(())
             }
             Err(e) => {
@@ -1186,7 +1220,9 @@ impl ShardedPipelineDriver {
             ));
         }
         let mut rows = Vec::new();
-        for part in self.gather(|_, tx| Cmd::TableAt(at, tx))? {
+        for part in
+            self.gather(|_| move |state: &mut WorkerState| state.checked(|s| s.query.table_at(at)))?
+        {
             rows.extend(part);
         }
         rows.sort();
@@ -1225,7 +1261,8 @@ impl ShardedPipelineDriver {
         // Barrier first: all in-flight commands processed, pending buffers
         // current, so the captured cursors and state agree.
         self.drain_workers()?;
-        let worker_states = self.gather(|_, tx| Cmd::Checkpoint(tx))?;
+        let worker_states =
+            self.gather(|_| |state: &mut WorkerState| state.checked(|s| s.query.checkpoint()))?;
         // Stage the sinks under the new epoch *before* handing the
         // checkpoint to the caller: a transactional sink durably records
         // "everything written so far is epoch E" now, so whether or not
@@ -1410,7 +1447,10 @@ impl ShardedPipelineDriver {
 
     fn restore_inner(&mut self, checkpoint: &PipelineCheckpoint) -> Result<()> {
         // Workers first (operator state), then sources (replay position).
-        self.gather(|w, tx| Cmd::Restore(checkpoint.workers[w].clone(), tx))?;
+        self.gather(|w| {
+            let checkpoint = checkpoint.workers[w].clone();
+            move |state: &mut WorkerState| state.query.restore(&checkpoint)
+        })?;
         // Sinks next: a transactional sink truncates everything staged
         // after this epoch, so the replayed rows append exactly where the
         // uninterrupted run had them.

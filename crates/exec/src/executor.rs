@@ -253,6 +253,10 @@ impl OpNode {
 /// deadlines so `ptime` metadata is exact.
 pub struct Executor {
     root: OpNode,
+    /// Each scanned table (lowercased) with its source leaf ids in tree
+    /// order, mapped once at construction so feeds look tables up
+    /// without walking the tree or allocating.
+    tables: Vec<(String, Vec<usize>)>,
     schema: SchemaRef,
     now: Ts,
     output: Changelog,
@@ -263,8 +267,19 @@ pub struct Executor {
 impl Executor {
     /// Wrap a compiled operator tree.
     pub fn new(root: OpNode, schema: SchemaRef) -> Executor {
+        let mut leaves = Vec::new();
+        root.collect_sources(&mut leaves);
+        let mut tables: Vec<(String, Vec<usize>)> = Vec::new();
+        for leaf in leaves {
+            let table = leaf.table.to_ascii_lowercase();
+            match tables.iter_mut().find(|(name, _)| *name == table) {
+                Some((_, ids)) => ids.push(leaf.id),
+                None => tables.push((table, vec![leaf.id])),
+            }
+        }
         Executor {
             root,
+            tables,
             schema,
             now: Ts(0),
             output: Changelog::new(),
@@ -283,6 +298,14 @@ impl Executor {
         let mut out = Vec::new();
         self.root.collect_sources(&mut out);
         out.into_iter().cloned().collect()
+    }
+
+    /// The source leaf ids scanning `table` (any case), in tree order.
+    fn leaves(&self, table: &str) -> &[usize] {
+        self.tables
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(table))
+            .map_or(&[], |(_, ids)| ids)
     }
 
     /// Current processing time.
@@ -370,17 +393,16 @@ impl Executor {
     /// Feed one element into every source leaf scanning `table`.
     pub fn feed(&mut self, table: &str, ptime: Ts, elem: Element) -> Result<()> {
         self.advance_to(ptime)?;
-        let ids: Vec<usize> = self
-            .sources()
+        // A table the query does not read has no leaves: ignored.
+        let Some(t) = self
+            .tables
             .iter()
-            .filter(|s| s.table.eq_ignore_ascii_case(table))
-            .map(|s| s.id)
-            .collect();
-        if ids.is_empty() {
-            // The query does not read this table; ignore.
+            .position(|(name, _)| name.eq_ignore_ascii_case(table))
+        else {
             return Ok(());
-        }
-        for id in ids {
+        };
+        for leaf in 0..self.tables[t].1.len() {
+            let id = self.tables[t].1[leaf];
             let mut out = Vec::new();
             let now = self.now;
             self.root.feed(id, &elem, now, &mut out)?;
@@ -398,11 +420,7 @@ impl Executor {
         if self.root.uses_timers() {
             return false;
         }
-        self.sources()
-            .iter()
-            .filter(|s| s.table.eq_ignore_ascii_case(table))
-            .count()
-            == 1
+        self.leaves(table).len() == 1
     }
 
     /// Feed a columnar batch of data changes for `table`, each row at its
@@ -423,14 +441,8 @@ impl Executor {
             return Ok(());
         }
         self.advance_to(batch.ptime(0))?;
-        let ids: Vec<usize> = self
-            .sources()
-            .iter()
-            .filter(|s| s.table.eq_ignore_ascii_case(table))
-            .map(|s| s.id)
-            .collect();
-        let Some(&id) = ids.first() else {
-            // The query does not read this table; ignore.
+        // `supports_batches` held: exactly one leaf scans the table.
+        let Some(&id) = self.leaves(table).first() else {
             return Ok(());
         };
         let mut out = Vec::new();
@@ -613,6 +625,18 @@ mod tests {
         ex.feed("Bid", Ts::hm(8, 7), Element::watermark(Ts::hm(8, 5)))
             .unwrap();
         assert_eq!(ex.output_watermark(), Watermark(Ts::hm(8, 5)));
+    }
+
+    #[test]
+    fn tables_match_in_any_case() {
+        let mut ex = simple_executor();
+        assert!(ex.supports_batches("BID") && ex.supports_batches("bId"));
+        ex.feed("BID", Ts(1), Element::insert(row!(3i64))).unwrap();
+        ex.feed("bid", Ts(2), Element::insert(row!(4i64))).unwrap();
+        let batch =
+            ChangeBatch::from_changes(&[(Ts(3), onesql_tvr::Change::insert(row!(5i64)))]).unwrap();
+        ex.feed_batch("bId", &batch).unwrap();
+        assert_eq!(ex.changelog().len(), 3);
     }
 
     #[test]

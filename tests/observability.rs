@@ -384,7 +384,7 @@ fn hub_snapshots_are_ordered_by_label_not_publication() {
 
     let labels = ["zz_ordering_pin", "aa_ordering_pin", "mm_ordering_pin"];
     for label in labels {
-        hub().publish(label, Ts(1), false, true, PipelineMetrics::default());
+        hub().publish(label, Ts(1), false, true, &PipelineMetrics::default());
     }
     let seen: Vec<String> = hub()
         .snapshots()
@@ -431,9 +431,9 @@ proptest! {
         for &v in &a { ha.record(v); }
         for &v in &b { hb.record(v); }
 
-        let mut ab = ha.clone();
+        let mut ab = ha;
         ab.merge(&hb);
-        let mut ba = hb.clone();
+        let mut ba = hb;
         ba.merge(&ha);
         for merged in [&ab, &ba] {
             prop_assert_eq!(merged.bucket_counts(), all.bucket_counts());
